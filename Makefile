@@ -20,13 +20,14 @@ race-pipeline:
 	$(GO) test -race -run 'Golden|Pipeline|IterativeRoundSum|DestWorkerError' ./internal/core/
 
 # bench records the migration-engine benchmarks (first-round throughput at
-# pipeline widths {1,2,4,8}, tracked-migration overhead, destination
-# merge-loop and install-primitive throughput, per-page checksum rates,
+# pipeline widths {1,2,4,8}, tracked-migration overhead, the recycled return
+# against sending everything, destination merge-loop and install-primitive
+# throughput, per-page checksum rates,
 # warm vs cold checkpoint open, rehash vs precomputed-sum warm save,
 # announce-frame sizes) as machine-readable output for regression tracking.
 # BENCH_migration.json is committed: tools/benchgate gates CI on it.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFirstRound|BenchmarkTrackIncoming|BenchmarkMergeLoop|BenchmarkDestInstall' -benchmem -json ./internal/core/ > BENCH_migration.json
+	$(GO) test -run '^$$' -bench 'BenchmarkFirstRound|BenchmarkTrackIncoming|BenchmarkRecycledReturn|BenchmarkMergeLoop|BenchmarkDestInstall' -benchmem -json ./internal/core/ > BENCH_migration.json
 	$(GO) test -run '^$$' -bench 'BenchmarkChecksumPage|BenchmarkAnnounceSize' -benchmem -json ./internal/checksum/ >> BENCH_migration.json
 	$(GO) test -run '^$$' -bench 'BenchmarkOpen|BenchmarkSaveWarm' -benchmem -json ./internal/checkpoint/ >> BENCH_migration.json
 
@@ -34,6 +35,7 @@ bench:
 # pipeline width running below the scaling floor of workers=1, when
 # workers=8 allocates beyond the slack over workers=1, when the
 # precomputed-sum warm save loses its 1.5x edge over the rehashing one,
+# when the recycled return runs slower than sending everything,
 # or when any gated series regresses against the recording committed at
 # HEAD (skipped when HEAD has none — e.g. the recording itself is being
 # re-recorded in this change).

@@ -179,6 +179,9 @@ type Checkpoint struct {
 	frames  []pageRef // per-page-frame payloads; nil when the checkpoint has no frame geometry
 	pages   int
 	sidecar SidecarStatus
+	// installed holds the page-ordered sums of what Store.Restore installed
+	// into its destination VM; nil when nothing was installed.
+	installed []checksum.Sum
 }
 
 // newCheckpoint assembles a Checkpoint whose page i lives at refs[i] and
@@ -424,6 +427,15 @@ func (c *Checkpoint) Sidecar() SidecarStatus { return c.sidecar }
 
 // Algorithm reports the checksum algorithm the index was built with.
 func (c *Checkpoint) Algorithm() checksum.Algorithm { return c.alg }
+
+// InstalledSums returns the page-ordered digests of the pages Store.Restore
+// installed into its destination VM, under the checkpoint's algorithm, or
+// nil when the open installed nothing (no destination VM, a union, a flat
+// image). They are either the fingerprint sidecar's, which is anchored to
+// the entry digest and trusted exactly as far as ReadBlock's index is, or
+// the rescan's, which hashed the very bytes it installed. The caller must
+// not mutate the slice.
+func (c *Checkpoint) InstalledSums() []checksum.Sum { return c.installed }
 
 // SumSet returns the set of block checksums present in the checkpoint — the
 // content of the destination's hash announcement. The caller must not

@@ -257,6 +257,36 @@ func TestStoreGenerations(t *testing.T) {
 	}
 }
 
+// TestStoreGenerationsWidened: generation vectors widened from 32 to 64
+// bits. A .gens.json written by the 32-bit tracker (its largest value
+// included) still loads, and counters past 2^32 round-trip.
+func TestStoreGenerationsWidened(t *testing.T) {
+	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.genPath("old"), []byte("[0,7,4294967295]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gens, ok, err := store.Generations("old")
+	if err != nil || !ok {
+		t.Fatalf("old-format file: ok=%v err=%v", ok, err)
+	}
+	if len(gens) != 3 || gens[1] != 7 || gens[2] != 1<<32-1 {
+		t.Errorf("old-format generations = %v", gens)
+	}
+	if err := os.WriteFile(store.genPath("wide"), []byte("[4294967296,18446744073709551615]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gens, ok, err = store.Generations("wide")
+	if err != nil || !ok {
+		t.Fatalf("64-bit file: ok=%v err=%v", ok, err)
+	}
+	if len(gens) != 2 || gens[0] != 1<<32 || gens[1] != 1<<64-1 {
+		t.Errorf("64-bit generations = %v", gens)
+	}
+}
+
 func TestStoreRemoveAndList(t *testing.T) {
 	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
 	if err != nil {

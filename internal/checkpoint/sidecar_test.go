@@ -249,10 +249,18 @@ func TestSidecarCorruptionFallsBack(t *testing.T) {
 				t.Errorf("Sidecar() = %v, want fallback", cp.Sidecar())
 			}
 			// The fallback must produce a correct index over the stored
-			// content: every installed page resolves by checksum.
+			// content: every installed page resolves by checksum, and the
+			// installed sums handed to the merge are the rescan's.
+			installed := cp.InstalledSums()
+			if len(installed) != dst.NumPages() {
+				t.Fatalf("InstalledSums has %d entries, want %d", len(installed), dst.NumPages())
+			}
 			for i := 0; i < dst.NumPages(); i++ {
 				if !cp.SumSet().Contains(dst.PageSum(i, tc.alg)) {
 					t.Fatalf("page %d missing from fallback index", i)
+				}
+				if installed[i] != dst.PageSum(i, tc.alg) {
+					t.Fatalf("page %d: installed sum is not the installed page's digest", i)
 				}
 			}
 			cp.Close()
@@ -321,5 +329,67 @@ func TestConcurrentRemoveDuringRestore(t *testing.T) {
 			}
 		}()
 		wg.Wait()
+	}
+}
+
+// TestInstalledSums pins what a bootstrap may seed the merge with: the
+// digest of every page Restore installed — from a sidecar hit, or from the
+// rescan when the sidecar belongs to an older save of the entry — and
+// nothing when nothing was installed.
+func TestInstalledSums(t *testing.T) {
+	store, src := saveOne(t, "vm0", 16)
+	check := func(name string, want SidecarStatus) {
+		t.Helper()
+		dst := newVM(t, "vm0", 16, 9)
+		cp, err := store.Restore("vm0", checksum.MD5, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		if cp.Sidecar() != want {
+			t.Fatalf("%s: Sidecar() = %v, want %v", name, cp.Sidecar(), want)
+		}
+		installed := cp.InstalledSums()
+		if len(installed) != dst.NumPages() {
+			t.Fatalf("%s: %d installed sums for %d pages", name, len(installed), dst.NumPages())
+		}
+		for i := range installed {
+			if installed[i] != dst.PageSum(i, checksum.MD5) {
+				t.Fatalf("%s: page %d's installed sum does not digest the installed page", name, i)
+			}
+		}
+	}
+	check("warm", SidecarHit)
+
+	// A sidecar left over from an older save: rewrite the guest, save
+	// again, and put the old sidecar back.
+	old, err := os.ReadFile(store.sidecarPath("vm0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.TouchRandomPages(5)
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.sidecarPath("vm0"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("stale sidecar", SidecarFallback)
+
+	cp, err := store.Restore("vm0", checksum.MD5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if cp.InstalledSums() != nil {
+		t.Error("Restore without a VM reports installed sums")
+	}
+	union, _, err := store.OpenUnion(checksum.MD5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer union.Close()
+	if union.InstalledSums() != nil {
+		t.Error("union reports installed sums")
 	}
 }

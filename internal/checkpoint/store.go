@@ -606,15 +606,16 @@ func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, inf
 	if sums == nil {
 		// Rescan: read every page out of the pool and hash it under alg.
 		sums = make([]checksum.Sum, pages)
-		buf := make([]byte, vm.PageSize)
-		for i, ref := range refs {
-			if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-				return nil, fmt.Errorf("checkpoint: read page %d: %w", i, err)
+		err := readRuns(refs, func(first int, run []byte) {
+			for k := 0; k < len(run)/vm.PageSize; k++ {
+				sums[first+k] = alg.Page(run[k*vm.PageSize : (k+1)*vm.PageSize])
 			}
-			sums[i] = alg.Page(buf)
 			if dst != nil {
-				dst.InstallPage(i, buf)
+				dst.InstallRange(first, run)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		if !noSidecar {
 			// Self-heal: persist the rebuilt sums so the next Restore under
@@ -625,15 +626,42 @@ func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, inf
 		}
 	} else if dst != nil {
 		// Warm hit with an install: a plain read of every page, no hashing.
-		buf := make([]byte, vm.PageSize)
-		for i, ref := range refs {
-			if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-				return nil, fmt.Errorf("checkpoint: read page %d: %w", i, err)
-			}
-			dst.InstallPage(i, buf)
+		if err := readRuns(refs, func(first int, run []byte) { dst.InstallRange(first, run) }); err != nil {
+			return nil, err
 		}
 	}
-	return newCheckpoint(alg, sums, refs, files, status), nil
+	cp := newCheckpoint(alg, sums, refs, files, status)
+	if dst != nil {
+		cp.installed = sums
+	}
+	return cp, nil
+}
+
+// restoreRunPages caps the pages one bootstrap read covers: 1 MiB of
+// scratch, a handful of reads per segment instead of one per page.
+const restoreRunPages = 256
+
+// readRuns reads the pages behind refs in order and hands them to fn in
+// runs: pages that sit back to back in one file (a segment stores a save's
+// new pages contiguously) arrive in one ReadAt, at most restoreRunPages at
+// a time. first is the index of the run's first page; run is scratch,
+// valid only during the call.
+func readRuns(refs []pageRef, fn func(first int, run []byte)) error {
+	buf := make([]byte, min(len(refs), restoreRunPages)*vm.PageSize)
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && j-i < restoreRunPages &&
+			refs[j].f == refs[i].f && refs[j].off == refs[j-1].off+vm.PageSize {
+			j++
+		}
+		run := buf[:(j-i)*vm.PageSize]
+		if _, err := refs[i].f.ReadAt(run, refs[i].off); err != nil {
+			return fmt.Errorf("checkpoint: read pages %d-%d: %w", i, j-1, err)
+		}
+		fn(i, run)
+		i = j
+	}
+	return nil
 }
 
 // OpenUnion builds a Checkpoint over the union of every servable entry in

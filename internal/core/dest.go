@@ -23,7 +23,10 @@ type DestOptions struct {
 	Store *checkpoint.Store
 	// TrackIncoming records the checksums of all pages observed during the
 	// migration, enabling the ping-pong optimization on a later outgoing
-	// migration of the same VM back to this peer (§3.2).
+	// migration of the same VM back to this peer (§3.2). It only decides
+	// whether the merge's page-sum table is exported (DestResult.SeenSums,
+	// DestResult.PageSums): a checkpoint-backed merge keeps the table
+	// either way, to check checksum frames without rehashing.
 	TrackIncoming bool
 	// VerifyPayloads re-computes the checksum of every full page received
 	// and rejects mismatches. Costs one hash per page; useful under
@@ -284,11 +287,22 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		}
 	}
 
+	// tbl is the merge's record of each frame's digest (see SumTable). Only
+	// checkpoint-backed frames consult it and only tracking exports it, so a
+	// cold untracked merge builds none.
 	var tbl *SumTable
-	if opts.TrackIncoming {
-		res.SeenSums = checksum.NewSet(v.NumPages())
+	if opts.TrackIncoming || cp != nil {
 		tbl = NewSumTable()
 		tbl.reset(h.Alg, v.NumPages())
+		// A bootstrap that installed the checkpoint into RAM hands over the
+		// digests of what it installed; a union installs nothing and seeds
+		// nothing.
+		if cp != nil {
+			tbl.seed(cp.InstalledSums())
+		}
+	}
+	if opts.TrackIncoming {
+		res.SeenSums = checksum.NewSet(v.NumPages())
 		res.PageSums = tbl
 	}
 
@@ -464,11 +478,13 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			}
 			res.Metrics.PageFrames++
 			res.Metrics.PagesSum++
+			// Fast path: the frame already holds this content, by the sum
+			// table's record (a bootstrap or earlier install) or, for a
+			// frame it has no entry for, by digesting it.
+			inPlace := tbl.holds(v, int(page), sum, h.Alg, &res.Metrics)
 			// Either way the page ends up holding content with this digest.
 			tbl.record(int(page), sum)
-			// Fast path: the frame content inherited from the checkpoint
-			// bootstrap already matches.
-			if v.PageSum(int(page), h.Alg) == sum {
+			if inPlace {
 				res.Metrics.PagesReusedInPlace++
 				continue
 			}
@@ -558,7 +574,9 @@ func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts De
 			// table just as in RAM), so finishTrack folds it into the set
 			// and hashes only pages no frame ever covered.
 			if opts.TrackIncoming {
-				res.Metrics.HashBytes, res.Metrics.HashAvoidedBytes = tbl.finishTrack(v, res.SeenSums)
+				hashed, avoided := tbl.finishTrack(v, res.SeenSums)
+				res.Metrics.HashBytes += hashed
+				res.Metrics.HashAvoidedBytes += avoided
 			}
 			return nil
 

@@ -55,8 +55,8 @@ type destWorker struct {
 	verify bool
 	cp     *checkpoint.Checkpoint
 	st     *destScratch // pooled; acquired at pool start, released after drain
-	// tbl is the migration's shared page-sum table (nil unless
-	// TrackIncoming). Workers write disjoint page slots within a round, so
+	// tbl is the migration's shared page-sum table (nil on a cold untracked
+	// merge). Workers read and write disjoint page slots within a round, so
 	// no locking; see SumTable.
 	tbl *SumTable
 	m   Metrics
@@ -101,11 +101,12 @@ func (ws *destWorker) process(j *destJob) error {
 
 	case msgPageSum:
 		ws.m.PagesSum++
+		// Fast path: the frame already holds this content (see
+		// mergeSequential).
+		inPlace := ws.tbl.holds(ws.v, page, j.sum, ws.alg, &ws.m)
 		// Either way the page ends up holding content with this digest.
 		ws.tbl.record(page, j.sum)
-		// Fast path: the frame content inherited from the checkpoint
-		// bootstrap already matches.
-		if ws.v.PageSum(page, ws.alg) == j.sum {
+		if inPlace {
 			ws.m.PagesReusedInPlace++
 			return nil
 		}
@@ -349,7 +350,9 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 			// table is the final arrived state; hash only what no frame
 			// covered. See mergeSequential's msgDone for the soundness note.
 			if opts.TrackIncoming {
-				res.Metrics.HashBytes, res.Metrics.HashAvoidedBytes = tbl.finishTrack(v, res.SeenSums)
+				hashed, avoided := tbl.finishTrack(v, res.SeenSums)
+				res.Metrics.HashBytes += hashed
+				res.Metrics.HashAvoidedBytes += avoided
 			}
 			return nil
 

@@ -72,11 +72,20 @@ type Metrics struct {
 	// normal tracked path (round one walks every page, so every digest
 	// arrives on some frame).
 	HashBytes int64
-	// HashAvoidedBytes counts payload bytes whose round-end digest was
-	// recycled from a sum the merge already knew (frame headers, verified
-	// installs, range probes) instead of being recomputed by a full-image
-	// scan.
+	// HashAvoidedBytes counts payload bytes whose digest was recycled from
+	// a sum the engine already knew instead of being recomputed: on the
+	// destination, in-place checks answered by the merge's sum table
+	// (bootstrap sums, frame headers, verified installs) and the round-end
+	// TrackIncoming pass; on the source, round-one pages whose arrival-time
+	// digest still held (SourceOptions.Arrival).
 	HashAvoidedBytes int64
+	// EncodeHashBytes counts payload bytes the source digested while
+	// encoding pages (the "encode" hash stage). Zero on the destination.
+	EncodeHashBytes int64
+	// ProbeHashBytes counts resident payload bytes the destination digested
+	// to check page-sum and range-sum frames in place, for frames its sum
+	// table had no entry for (the "probe" hash stage). Zero on the source.
+	ProbeHashBytes int64
 	// Stages breaks the pipelined engine down by stage, so a throughput
 	// regression can be attributed (reader-bound, worker-bound, or
 	// wire-bound) instead of guessed. All zero when the sequential
@@ -147,6 +156,9 @@ func (m *Metrics) addPageCounters(d Metrics) {
 	m.DeltaSavedBytes += d.DeltaSavedBytes
 	m.PagesReusedInPlace += d.PagesReusedInPlace
 	m.PagesReusedFromDisk += d.PagesReusedFromDisk
+	m.HashAvoidedBytes += d.HashAvoidedBytes
+	m.EncodeHashBytes += d.EncodeHashBytes
+	m.ProbeHashBytes += d.ProbeHashBytes
 }
 
 // String summarizes the metrics in one line. Both byte directions render

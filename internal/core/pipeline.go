@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/dirtytrack"
 	"vecycle/internal/vm"
 )
 
@@ -57,19 +58,21 @@ func (s pageSeq) at(i int) int {
 type pageBatch struct {
 	pages []int          // page numbers
 	data  []byte         // page payloads, len(pages)*PageSize
-	sums  []checksum.Sum // per-page digests precomputed by the hash offload; empty otherwise
+	sums  []checksum.Sum // per-page digests, valid where known is set
+	known []bool         // sums[i] is data's digest: an arrival-time sum or the hash offload's
 	buf   bytes.Buffer   // encoded wire frames, in page order
 	m     Metrics        // per-batch page counters
 	err   error          // set instead of buf when encoding failed
 	done  chan struct{}
 }
 
-// pageSum returns page i's digest: the precomputed one when the sequential
-// engine's hash offload ran over this batch, computed in place otherwise.
+// pageSum returns page i's digest: the known one when fillBatch or the
+// sequential engine's hash offload supplied it, computed in place otherwise.
 func (b *pageBatch) pageSum(alg checksum.Algorithm, i int, data []byte) checksum.Sum {
-	if i < len(b.sums) {
+	if b.known[i] {
 		return b.sums[i]
 	}
+	b.m.EncodeHashBytes += vm.PageSize
 	return alg.Page(data)
 }
 
@@ -86,6 +89,7 @@ var batchPool = sync.Pool{New: func() interface{} {
 		pages: make([]int, 0, batchPages),
 		data:  make([]byte, 0, batchPages*vm.PageSize),
 		sums:  make([]checksum.Sum, 0, batchPages),
+		known: make([]bool, 0, batchPages),
 	}
 }}
 
@@ -101,6 +105,7 @@ func putBatch(b *pageBatch) {
 	b.pages = b.pages[:0]
 	b.data = b.data[:0]
 	b.sums = b.sums[:0]
+	b.known = b.known[:0]
 	b.buf.Reset()
 	if b.buf.Cap() > maxPooledBatchBytes {
 		b.buf = bytes.Buffer{}
@@ -237,7 +242,7 @@ func (e *sourceEncoder) tryDelta(w io.Writer, base PageProvider, page uint64, su
 // encoding them, and the emitter drains the ordered queue before returning
 // the first error — no goroutine outlives the call. Cancellation of ctx is
 // observed the same way (the caller's conn watcher unblocks a stuck write).
-func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, encs []*sourceEncoder, base PageProvider, m *Metrics) error {
+func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, encs []*sourceEncoder, base PageProvider, known *knownSums, m *Metrics) error {
 	n := pages.len()
 	workers := len(encs)
 	if n == 0 {
@@ -306,7 +311,7 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 					continue
 				}
 				t0 := time.Now()
-				fillBatch(v, b)
+				fillBatch(v, b, known)
 				err := encodeBatch(enc, base, b)
 				stats.workerBusy.Add(int64(time.Since(t0)))
 				if err != nil {
@@ -348,10 +353,25 @@ func runSourcePipeline(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq
 	return firstErr
 }
 
+// knownSums is a round's source of digests that need no hashing: the
+// page-ordered sums of the VM's content at a generation snapshot (see
+// SourceOptions.Arrival).
+type knownSums struct {
+	sums []checksum.Sum
+	gens dirtytrack.GenVector
+}
+
 // fillBatch copies the batch's pages out of the guest, coalescing
 // contiguous page numbers into single ReadRange calls (one lock
-// acquisition and one copy per contiguous span instead of per page).
-func fillBatch(v *vm.VM, b *pageBatch) {
+// acquisition and one copy per contiguous span instead of per page), then
+// marks the pages whose digest known supplies (known may be nil).
+//
+// The generation check runs after the copy: a page whose generation still
+// equals the snapshot's was not written between the snapshot and the
+// check, so the bytes copied before the check are the snapshot's content
+// and its recorded digest describes them. A guest write racing the copy
+// moves the generation, and the page is hashed from the copied bytes.
+func fillBatch(v *vm.VM, b *pageBatch, known *knownSums) {
 	cnt := len(b.pages)
 	b.data = b.data[:cnt*vm.PageSize]
 	for i := 0; i < cnt; {
@@ -362,6 +382,19 @@ func fillBatch(v *vm.VM, b *pageBatch) {
 		v.ReadRange(b.pages[i], j-i, b.data[i*vm.PageSize:j*vm.PageSize])
 		i = j
 	}
+	b.sums = b.sums[:cnt]
+	b.known = b.known[:cnt]
+	if known == nil {
+		clear(b.known)
+		return
+	}
+	v.UnchangedPages(b.pages, known.gens, b.known)
+	for i, ok := range b.known {
+		if ok {
+			b.sums[i] = known.sums[b.pages[i]]
+			b.m.HashAvoidedBytes += vm.PageSize
+		}
+	}
 }
 
 // batchSumWorkers caps the sequential engine's hash-offload pool. The
@@ -370,34 +403,48 @@ func fillBatch(v *vm.VM, b *pageBatch) {
 // split further.
 const batchSumWorkers = 4
 
-// offloadBatchSums precomputes the batch's page digests on a small goroutine
-// pool, so the sequential (Workers <= 0) engine's encode loop reads them
-// from b.sums instead of hashing inline — the hash stage was its single-core
-// wall. The digests are exactly the ones encodeBatch would compute, so the
-// wire stream is unchanged. Skipped on a single-CPU process or a small tail
-// batch, where the spawn overhead would exceed the win; b.sums stays empty
-// and pageSum falls back to hashing inline.
+// offloadBatchSums precomputes the digests of the batch's pages that have
+// no known sum on a small goroutine pool, so the sequential (Workers <= 0)
+// engine's encode loop reads them from b.sums instead of hashing inline —
+// the hash stage was its single-core wall. The digests are exactly the
+// ones encodeBatch would compute, so the wire stream is unchanged. Skipped
+// on a single-CPU process or when fewer than a batch of pages need hashing,
+// where the spawn overhead would exceed the win; pageSum then hashes the
+// rest inline.
 func offloadBatchSums(alg checksum.Algorithm, b *pageBatch) {
-	cnt := len(b.pages)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > batchSumWorkers {
 		workers = batchSumWorkers
 	}
-	if workers < 2 || cnt < minPagesPerSumWorker {
+	if workers < 2 {
 		return
 	}
-	b.sums = b.sums[:cnt]
+	todo := 0
+	for _, ok := range b.known {
+		if !ok {
+			todo++
+		}
+	}
+	if todo < minPagesPerSumWorker {
+		return
+	}
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			for i := k; i < cnt; i += workers {
-				b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
+			for i := k; i < len(b.known); i += workers {
+				if !b.known[i] {
+					b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
+				}
 			}
 		}(k)
 	}
 	wg.Wait()
+	for i := range b.known {
+		b.known[i] = true
+	}
+	b.m.EncodeHashBytes += int64(todo) * vm.PageSize
 }
 
 // encodeBatch serializes every page of the batch into its buffer — in

@@ -107,6 +107,14 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // both endpoints to the per-page v1 stream (no range frames).
 func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byte, Metrics, *vm.VM) {
 	t.Helper()
+	return goldenRunWith(t, workers, onEvent, legacy, false)
+}
+
+// goldenRunWith is goldenRun; with arrival set, the source also holds an
+// arrival table recorded at checkpoint time, so round one digests only the
+// pages mutateGolden rewrote.
+func goldenRunWith(t *testing.T, workers int, onEvent EventFunc, legacy, arrival bool) ([]byte, Metrics, *vm.VM) {
+	t.Helper()
 	src, err := vm.New(vm.Config{Name: "vm0", MemBytes: goldenPages * vm.PageSize, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +123,10 @@ func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byt
 	store := newStore(t)
 	if err := store.Save(src); err != nil {
 		t.Fatal(err)
+	}
+	var arr ArrivalSums
+	if arrival {
+		arr = arrivalOf(src, checksum.MD5)
 	}
 	mutateGolden(src)
 	base, err := store.Restore("vm0", checksum.MD5, nil)
@@ -144,6 +156,7 @@ func goldenRun(t *testing.T, workers int, onEvent EventFunc, legacy bool) ([]byt
 			DeltaBase:     base,
 			Workers:       workers,
 			NoRangeFrames: legacy,
+			Arrival:       arr,
 			Pause:         func() { goldenPause(src) },
 			OnEvent:       onEvent,
 		})

@@ -439,16 +439,17 @@ func putDestScratch(st *destScratch) {
 // once per range. The caller has already validated the frame bounds and the
 // checkpoint requirement. On success the frame's per-page sums — which
 // describe the installed content in every treatment — are recorded into tbl
-// (nil when the migration is not tracking incoming sums).
+// (nil on a cold untracked merge, where no range-sum frame can arrive).
 func applyRange(v *vm.VM, cp *checkpoint.Checkpoint, alg checksum.Algorithm, verify bool, f *rangeFrame, st *destScratch, tbl *SumTable, m *Metrics) error {
 	start := int(f.start)
 	switch f.t {
 	case msgRangeSum:
 		m.PagesSum += f.count
-		// Fast path: probe every resident frame under one lock; only
-		// mismatches fall back to the checkpoint index (lseek+read of
-		// Listing 1), installed individually — they are the exception.
-		st.sums = v.RangeSums(start, f.count, alg, st.sums)
+		// Fast path: compare against the sum table's record of each frame,
+		// digesting only frames it has no entry for; only mismatches fall
+		// back to the checkpoint index (lseek+read of Listing 1), installed
+		// individually — they are the exception.
+		st.sums = tbl.residentSums(v, start, f.count, alg, st.sums, m)
 		inPlace := 0
 		for i := 0; i < f.count; i++ {
 			if st.sums[i] == f.sums[i] {

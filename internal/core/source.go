@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vecycle/internal/checksum"
+	"vecycle/internal/dirtytrack"
 	"vecycle/internal/vm"
 )
 
@@ -91,6 +92,36 @@ type SourceOptions struct {
 	// checkpoint.Store.SaveWithSums can ingest it without a sidecar rehash.
 	// Recording never alters the wire stream.
 	SentSums *SumTable
+	// Arrival, when set, hands round one the digests this host already
+	// holds for v: the page-sum table recorded when v arrived here, with
+	// v's generation snapshot taken as it registered. Round one then
+	// digests only pages whose generation moved since — the paper's
+	// Figure 5 "dirty tracking + hashes" combination. The table is used
+	// only when it is complete, under Alg, covering every page of v, and
+	// not the SentSums table itself (which the migration resets). Reuse
+	// never alters the wire stream: the sums are the ones hashing would
+	// produce.
+	Arrival ArrivalSums
+}
+
+// ArrivalSums binds a VM's complete page-sum table to the generation
+// snapshot at which it described the VM's memory: DestResult.PageSums of
+// the migration that brought the VM in, and vm.GenSnapshot taken before
+// anything could write to the arrived VM. A page whose generation still
+// equals the snapshot's holds the content the table's digest describes.
+type ArrivalSums struct {
+	Table *SumTable
+	Gens  dirtytrack.GenVector
+}
+
+// resolve returns the arrival digests round one may use for a migration of
+// a pages-page VM under alg, or nil when the table does not qualify.
+func (a ArrivalSums) resolve(alg checksum.Algorithm, pages int, sent *SumTable) *knownSums {
+	sums, ok := a.Table.Sums()
+	if !ok || a.Table == sent || a.Table.Alg() != alg || len(sums) != pages || len(a.Gens) != pages {
+		return nil
+	}
+	return &knownSums{sums: sums, gens: a.Gens}
 }
 
 func (o *SourceOptions) setDefaults() {
@@ -167,6 +198,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	if err := opts.validate(); err != nil {
 		return m, err
 	}
+	known := opts.Arrival.resolve(opts.Alg, v.NumPages(), opts.SentSums)
 	// Reset per attempt: a retry must not inherit a failed attempt's
 	// partial recordings.
 	opts.SentSums.reset(opts.Alg, v.NumPages())
@@ -234,11 +266,14 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	case h.SkipAnnounce:
 		destSums = opts.KnownDestSums
 	default:
+		// The announcement may already sit in r's buffer (read along with
+		// the hello-ack), so count what r consumed, not what it pulled off
+		// the connection.
+		before := cr.n - int64(r.Buffered())
 		t, err := readMsgType(r)
 		if err != nil {
 			return m, err
 		}
-		before := cr.n
 		switch t {
 		case msgHashAnnounce:
 			destSums, err = readHashAnnounce(r)
@@ -253,7 +288,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		if err != nil {
 			return m, err
 		}
-		m.AnnounceBytes = cr.n - before
+		m.AnnounceBytes = cr.n - int64(r.Buffered()) - before
 		m.AnnounceRawBytes = int64(checksum.EncodedSize(destSums.Len()))
 		opts.OnEvent.emit(Event{Kind: EventAnnounce, Bytes: m.AnnounceBytes,
 			Pages: int64(destSums.Len())})
@@ -301,12 +336,13 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	}
 	// stream sends one round's pages: through the staged pipeline when
 	// workers were requested, else through the sequential engine. Both emit
-	// identical bytes; base (delta encoding) is set in round one only.
-	stream := func(pages pageSeq, base PageProvider) error {
+	// identical bytes; base (delta encoding) and known (arrival digests)
+	// are set in round one only.
+	stream := func(pages pageSeq, base PageProvider, known *knownSums) error {
 		if workers >= 1 {
-			return runSourcePipeline(ctx, w, v, pages, encs, base, &m)
+			return runSourcePipeline(ctx, w, v, pages, encs, base, known, &m)
 		}
-		return sendSequential(ctx, w, v, pages, seqEnc, base, &m)
+		return sendSequential(ctx, w, v, pages, seqEnc, base, known, &m)
 	}
 
 	// Reset the dirty log: everything the guest writes from here on must be
@@ -330,7 +366,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	roundStart := cw.n
 	frameStart := m.PageFrames
 	attStart, skipStart := m.CompressAttempted, m.CompressSkipped
-	if err := stream(seqAll(v.NumPages()), opts.DeltaBase); err != nil {
+	if err := stream(seqAll(v.NumPages()), opts.DeltaBase, known); err != nil {
 		return m, err
 	}
 	if err := writeRoundEnd(w, 1, uint64(v.DirtyCount())); err != nil {
@@ -378,7 +414,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		roundStart = cw.n
 		frameStart = m.PageFrames
 		attStart, skipStart = m.CompressAttempted, m.CompressSkipped
-		if err := stream(seqList(dirtyList), nil); err != nil {
+		if err := stream(seqList(dirtyList), nil, nil); err != nil {
 			return m, err
 		}
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
@@ -413,6 +449,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		opts.OnEvent.emit(Event{Kind: EventResume})
 	}
 	m.Duration = time.Since(start)
+	opts.SentSums.markComplete()
 	opts.OnEvent.emit(Event{Kind: EventDone, Bytes: cw.n})
 	return m, nil
 }
@@ -444,7 +481,7 @@ func sendFullPage(w io.Writer, page uint64, sum checksum.Sum, data []byte, comp 
 // per batch) in order on the calling goroutine — the reference
 // implementation the pipeline is tested against, sharing its batch path so
 // the two cannot drift. Cancellation is checked once per batch.
-func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, m *Metrics) error {
+func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, known *knownSums, m *Metrics) error {
 	n := pages.len()
 	b := batchPool.Get().(*pageBatch)
 	defer putBatch(b)
@@ -460,12 +497,10 @@ func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, e
 		for i := 0; i < cnt; i++ {
 			b.pages[i] = pages.at(off + i)
 		}
-		fillBatch(v, b)
-		// Hash offload: digest the batch on a small pool while this
-		// goroutine still owns the encode loop (the pipelined engine hashes
-		// inside its workers already). The tail batch may skip the offload,
-		// so stale sums from the previous batch must not linger.
-		b.sums = b.sums[:0]
+		fillBatch(v, b, known)
+		// Hash offload: digest the batch's pages with no known sum on a
+		// small pool while this goroutine still owns the encode loop (the
+		// pipelined engine hashes inside its workers already).
 		offloadBatchSums(enc.alg, b)
 		if err := encodeBatch(enc, base, b); err != nil {
 			return err

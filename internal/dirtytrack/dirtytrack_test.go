@@ -1,6 +1,7 @@
 package dirtytrack
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +182,18 @@ func TestTrackerResizedVM(t *testing.T) {
 	}
 	if got := tr.DirtyCountSince(shortSnap); got != 3 {
 		t.Errorf("DirtyCountSince = %d, want 3", got)
+	}
+}
+
+func TestTrackerUnchangedPages(t *testing.T) {
+	tr, _ := NewTracker(6)
+	snap := tr.Snapshot()[:5] // page 5 lies outside the snapshot
+	tr.Touch(2)
+	pages := []int{5, 2, 0, 4}
+	out := make([]bool, len(pages))
+	tr.UnchangedPages(pages, snap, out)
+	if want := []bool{false, false, true, true}; !reflect.DeepEqual(out, want) {
+		t.Errorf("UnchangedPages = %v, want %v", out, want)
 	}
 }
 

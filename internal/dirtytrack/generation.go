@@ -5,7 +5,10 @@ import "fmt"
 // GenVector is a snapshot of per-page generation counters, as stored by
 // Miyakodori alongside each checkpoint (§4.3): "each page has a generation
 // counter that is incremented if the page is written to after a migration".
-type GenVector []uint32
+// Counters are 64-bit: a generation that matches a snapshot vouches that the
+// page still holds the snapshot's content, so a counter must never wrap
+// back onto an old value.
+type GenVector []uint64
 
 // Tracker maintains live generation counters for a VM's pages.
 // The zero value is unusable; construct with NewTracker.
@@ -29,7 +32,7 @@ func (t *Tracker) Len() int { return len(t.gens) }
 func (t *Tracker) Touch(i int) { t.gens[i]++ }
 
 // Generation reports page i's current generation.
-func (t *Tracker) Generation(i int) uint32 { return t.gens[i] }
+func (t *Tracker) Generation(i int) uint64 { return t.gens[i] }
 
 // Snapshot copies the current generation vector — taken when a checkpoint
 // is written on an outgoing migration.
@@ -59,6 +62,15 @@ func (t *Tracker) UnchangedSince(snap GenVector) *Bitmap {
 		}
 	}
 	return bm
+}
+
+// UnchangedPages is UnchangedSince for a list of pages: out[k] reports
+// whether page pages[k] has not been written since the snapshot. out must
+// be at least len(pages) long; pages outside the snapshot count as changed.
+func (t *Tracker) UnchangedPages(pages []int, snap GenVector, out []bool) {
+	for k, p := range pages {
+		out[k] = p < len(snap) && t.gens[p] == snap[p]
+	}
 }
 
 // DirtyCountSince reports how many pages changed since the snapshot —

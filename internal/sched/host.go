@@ -58,9 +58,10 @@ type Host struct {
 
 	mu       sync.Mutex
 	vms      map[string]*vm.VM
-	disks    map[string]*disk.Disk    // VM name → attached block device
-	seen     map[string]*checksum.Set // VM name → sums observed on last incoming migration
-	pending  map[string]bool          // arrivals in flight, reserved until registered
+	disks    map[string]*disk.Disk       // VM name → attached block device
+	seen     map[string]*checksum.Set    // VM name → sums observed on last incoming migration
+	arrived  map[*vm.VM]core.ArrivalSums // arrived VM → its arrival sums; keyed by VM so a same-name AddVM never inherits them
+	pending  map[string]bool             // arrivals in flight, reserved until registered
 	arrivals int
 	ln       net.Listener
 	opsSrv   *obs.Server // optional ops HTTP listener (ListenOps)
@@ -173,6 +174,7 @@ func NewHostWithStore(name string, store *checkpoint.Store) (*Host, error) {
 		vms:     make(map[string]*vm.VM),
 		disks:   make(map[string]*disk.Disk),
 		seen:    make(map[string]*checksum.Set),
+		arrived: make(map[*vm.VM]core.ArrivalSums),
 		pending: make(map[string]bool),
 	}
 	h.obs = newHostObs(h, obs.NewRegistry(), obs.NewTraceLog(0))
@@ -194,6 +196,9 @@ func (h *Host) SetNoSidecar(on bool) { h.store.SetNoSidecar(on) }
 func (h *Host) AddVM(v *vm.VM) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if old := h.vms[v.Name()]; old != v {
+		delete(h.arrived, old)
+	}
 	h.vms[v.Name()] = v
 }
 
@@ -444,7 +449,7 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 		h.mu.Unlock()
 		return res, nil
 	}
-	if err := h.register(dst, res.SeenSums); err != nil {
+	if err := h.register(dst, res.SeenSums, res.PageSums); err != nil {
 		return res, err
 	}
 	if h.OnArrival != nil {
@@ -456,7 +461,10 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 // register makes an arrived VM resident, re-checking residency under the
 // same lock acquisition as the insert: two racing arrivals of one VM must
 // never silently overwrite each other, whichever registers second loses.
-func (h *Host) register(dst *vm.VM, sums *checksum.Set) error {
+// A complete page-sum table is kept with the generation snapshot taken
+// here, before the VM is reachable by anything that could write to it, so
+// its next departure hashes only pages written since (core.ArrivalSums).
+func (h *Host) register(dst *vm.VM, sums *checksum.Set, table *core.SumTable) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, dup := h.vms[dst.Name()]; dup {
@@ -464,6 +472,9 @@ func (h *Host) register(dst *vm.VM, sums *checksum.Set) error {
 	}
 	h.vms[dst.Name()] = dst
 	h.seen[dst.Name()] = sums
+	if _, ok := table.Sums(); ok {
+		h.arrived[dst] = core.ArrivalSums{Table: table, Gens: dst.GenSnapshot()}
+	}
 	return nil
 }
 
@@ -497,7 +508,7 @@ func (h *Host) runPostCopy(ctx context.Context, session *core.IncomingSession, r
 			rec.Event(obs.Event{Kind: "checkpoint-saved", Detail: "arrival image"})
 		}
 	}
-	if err := h.register(dst, nil); err != nil {
+	if err := h.register(dst, nil, nil); err != nil {
 		return res, err
 	}
 	if h.OnArrival != nil {
@@ -552,6 +563,7 @@ func (h *Host) runPostCopyTo(ctx context.Context, addr, vmName string, v *vm.VM,
 	h.mu.Lock()
 	delete(h.vms, vmName)
 	delete(h.seen, vmName)
+	delete(h.arrived, v)
 	h.mu.Unlock()
 	return m, nil
 }
@@ -767,19 +779,20 @@ func (h *Host) MigrateTo(ctx context.Context, addr, vmName string, opts MigrateO
 	if opts.UsePingPong {
 		known = h.seen[vmName]
 	}
+	arrival := h.arrived[v]
 	h.mu.Unlock()
 	if !ok {
 		return core.Metrics{}, fmt.Errorf("%w: %q", ErrNoSuchVM, vmName)
 	}
 	rec := h.obs.begin("source", vmName, addr)
-	m, err := h.runMigrateTo(ctx, addr, vmName, v, known, opts, rec)
+	m, err := h.runMigrateTo(ctx, addr, vmName, v, known, arrival, opts, rec)
 	h.obs.finish(rec, "source", vmName, m, err)
 	return m, err
 }
 
 // runMigrateTo is the body of MigrateTo, split out so every return funnels
 // through one obs.finish call.
-func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, known *checksum.Set, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
+func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, known *checksum.Set, arrival core.ArrivalSums, opts MigrateOptions, rec *obs.Recorder) (core.Metrics, error) {
 	var deltaBase core.PageProvider
 	// Only a complete checkpoint is a sound delta base: a salvage image left
 	// by an interrupted incoming migration holds another attempt's partial
@@ -851,6 +864,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			KnownDestSums:     known,
 			DeltaBase:         base,
 			SentSums:          sent,
+			Arrival:           arrival,
 			Compress:          opts.Compress,
 			Workers:           opts.Workers,
 			ChecksumWorkers:   opts.ChecksumWorkers,
@@ -892,7 +906,10 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		// destination, superseding the complete checkpoint the ping-pong
 		// sums describe. Drop them: the next attempt negotiates a fresh
 		// announcement and resumes from whatever the destination salvaged.
+		// The arrival table goes too: retries hash every page, so no
+		// attempt after a failure leans on state recorded before it.
 		known = nil
+		arrival = core.ArrivalSums{}
 		if deltaFallback {
 			// Delta encoding is optimistic: if this host's checkpoint mirror
 			// went stale (the VM visited the destination via a third host),
@@ -947,6 +964,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	delete(h.vms, vmName)
 	delete(h.disks, vmName)
 	delete(h.seen, vmName)
+	delete(h.arrived, v)
 	h.mu.Unlock()
 	return m, nil
 }

@@ -165,10 +165,10 @@ func newHostObs(h *Host, reg *obs.Registry, traces *obs.TraceLog) *hostObs {
 			"Pages demand-fetched over the network after a post-copy resume.",
 			"host"),
 		hashBytes: reg.CounterVec("vecycle_hash_bytes_total",
-			"Payload bytes actually digested, by stage: track (destination round-end TrackIncoming pass), save_keys (store content-keying scan), save_sidecar (fingerprint sidecar build).",
+			"Payload bytes actually digested, by stage: encode (source page encoding), probe (destination in-place check of page-sum and range-sum frames), track (destination round-end TrackIncoming pass), save_keys (store content-keying scan), save_sidecar (fingerprint sidecar build).",
 			"host", "stage"),
 		hashAvoided: reg.CounterVec("vecycle_hash_avoided_bytes_total",
-			"Payload bytes whose digest was recycled from an earlier computation (install-time sums, migration sum tables handed to SaveWithSums) instead of recomputed.",
+			"Payload bytes whose digest was recycled from an earlier computation (arrival-time sums on the source, the destination's bootstrap and install-time sums, migration sum tables handed to SaveWithSums) instead of recomputed.",
 			"host"),
 		degraded: reg.CounterVec("vecycle_degraded_total",
 			"Graceful-degradation ladder rungs taken: a best-effort activity (checkpoint persist, salvage, recycled read, union fold) failed and the migration carried on without it, by stage and storage-fault label.",
@@ -359,8 +359,11 @@ func (o *hostObs) finish(rec *obs.Recorder, role, vmName string, m core.Metrics,
 	o.rangeFrames.With(o.host).Add(float64(m.RangeFrames))
 	o.compressAtt.With(o.host).Add(float64(m.CompressAttempted))
 	o.compressSkip.With(o.host).Add(float64(m.CompressSkipped))
-	if m.HashBytes > 0 {
-		o.hashBytes.With(o.host, "track").Add(float64(m.HashBytes))
+	for stage, n := range map[string]int64{"track": m.HashBytes,
+		"encode": m.EncodeHashBytes, "probe": m.ProbeHashBytes} {
+		if n > 0 {
+			o.hashBytes.With(o.host, stage).Add(float64(n))
+		}
 	}
 	if m.HashAvoidedBytes > 0 {
 		o.hashAvoided.With(o.host).Add(float64(m.HashAvoidedBytes))

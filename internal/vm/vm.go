@@ -147,11 +147,10 @@ func (v *VM) ReadRange(start, count int, dst []byte) {
 }
 
 // RangeSums computes the checksum of count contiguous pages starting at
-// frame start under one lock acquisition, appending to out (reusing its
-// capacity). The destination uses it to probe a whole range-sum frame
+// frame start under one lock acquisition, appending to out. The
+// destination uses it to probe the unrecorded pages of a range-sum frame
 // against resident content without per-page lock traffic.
 func (v *VM) RangeSums(start, count int, alg checksum.Algorithm, out []checksum.Sum) []checksum.Sum {
-	out = out[:0]
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	for i := start; i < start+count; i++ {
@@ -195,6 +194,16 @@ func (v *VM) UnchangedSince(snap dirtytrack.GenVector) *dirtytrack.Bitmap {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.gens.UnchangedSince(snap)
+}
+
+// UnchangedPages reports, per page of pages, whether it has not been
+// written since the generation snapshot, into out (at least len(pages)
+// long) under one lock acquisition — the source's round-one check of which
+// pages a snapshot-time digest still describes.
+func (v *VM) UnchangedPages(pages []int, snap dirtytrack.GenVector, out []bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	v.gens.UnchangedPages(pages, snap, out)
 }
 
 // MemEqual reports whether two guests hold byte-identical memory — the

@@ -1,6 +1,7 @@
 // Command benchgate fails CI when the pipelined migration engine scales
 // negatively with workers, when the hash-once save path loses its edge
-// over the rehashing one, or when a gated series regresses against a
+// over the rehashing one, when a recycled return migration runs slower
+// than sending everything, or when a gated series regresses against a
 // previously committed recording. It reads BENCH_migration.json (the
 // `go test -json` stream `make bench` records), extracts the MB/s and
 // B/op figures of every benchmark series, and enforces:
@@ -17,9 +18,14 @@
 //     -warm-ratio times BenchmarkSaveWarm/rehash — the acceptance bar of
 //     the precomputed-sum ingest path (skipped when the recording lacks
 //     the series);
+//   - recycling floor: BenchmarkRecycledReturn/recycled runs at least as
+//     fast as BenchmarkRecycledReturn/baseline — a recycled return must
+//     never lose to sending everything (skipped when the recording lacks
+//     the series);
 //   - with -baseline (typically the recording at HEAD): every gated
-//     series — the FirstRound widths, the TrackIncoming widths, and both
-//     SaveWarm arms — stays within -min-ratio of its own previous
+//     series — the FirstRound widths, the TrackIncoming widths, both
+//     SaveWarm arms and both RecycledReturn arms — stays within
+//     -min-ratio of its own previous
 //     throughput, and its B/op does not grow more than -alloc-slack
 //     beyond it. Series absent from either recording are skipped (the
 //     benchmark matrix may legitimately change).
@@ -77,6 +83,7 @@ var gatedPrefixes = []string{
 	"BenchmarkFirstRound/",
 	"BenchmarkTrackIncoming/",
 	"BenchmarkSaveWarm/",
+	"BenchmarkRecycledReturn/",
 }
 
 func main() {
@@ -96,7 +103,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
-	if err := gateSaveWarm(speeds, *warmRatio); err != nil {
+	if err := gateArms(speeds, "SaveWarm", "rehash", "withsums", *warmRatio); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(1)
+	}
+	if err := gateArms(speeds, "RecycledReturn", "baseline", "recycled", 1); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
@@ -233,23 +244,24 @@ func gate(speeds map[int]series, minRatio, allocSlack float64) error {
 	return nil
 }
 
-// gateSaveWarm enforces the hash-once acceptance bar: the precomputed-sum
-// save must beat the rehashing save by warmRatio. Skipped when the
-// recording predates the benchmark.
-func gateSaveWarm(speeds map[string]series, warmRatio float64) error {
-	rehash, okR := speeds["BenchmarkSaveWarm/rehash"]
-	withsums, okW := speeds["BenchmarkSaveWarm/withsums"]
-	if !okR && !okW {
+// gateArms enforces a two-arm acceptance bar: Benchmark<bench>/<fast> must
+// run at least floor times Benchmark<bench>/<slow> — the precomputed-sum
+// save against the rehashing one, the recycled return against sending
+// everything. Skipped when the recording predates the benchmark.
+func gateArms(speeds map[string]series, bench, slow, fast string, floor float64) error {
+	s, okS := speeds["Benchmark"+bench+"/"+slow]
+	f, okF := speeds["Benchmark"+bench+"/"+fast]
+	if !okS && !okF {
 		return nil
 	}
-	if !okR || !okW || rehash.mbps <= 0 {
-		return fmt.Errorf("recording has only one BenchmarkSaveWarm arm; run `make bench`")
+	if !okS || !okF || s.mbps <= 0 {
+		return fmt.Errorf("recording has only one Benchmark%s arm; run `make bench`", bench)
 	}
-	ratio := withsums.mbps / rehash.mbps
-	fmt.Printf("benchgate: SaveWarm     %8.2f -> %8.2f MB/s  %.2fx of rehash (floor %.2fx)\n",
-		rehash.mbps, withsums.mbps, ratio, warmRatio)
-	if ratio < warmRatio {
-		return fmt.Errorf("SaveWarm/withsums runs at %.2fx of rehash (floor %.2fx): the precomputed-sum ingest lost its edge", ratio, warmRatio)
+	ratio := f.mbps / s.mbps
+	fmt.Printf("benchgate: %-14s %8.2f -> %8.2f MB/s  %.2fx of %s (floor %.2fx)\n",
+		bench, s.mbps, f.mbps, ratio, slow, floor)
+	if ratio < floor {
+		return fmt.Errorf("%s/%s runs at %.2fx of %s (floor %.2fx): it lost its edge", bench, fast, ratio, slow, floor)
 	}
 	return nil
 }
