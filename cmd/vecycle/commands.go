@@ -21,7 +21,6 @@ func runDest(args []string) error {
 		store     = fs.String("store", "", "checkpoint store directory (required)")
 		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
 		name      = fs.String("name", "dest-host", "host name")
-		workers   = fs.Int("workers", 0, "pipelined merge workers for incoming migrations (<1 = sequential)")
 		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars (always rehash images on restore)")
 		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding even when the peer supports compaction")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
@@ -42,7 +41,6 @@ func runDest(args []string) error {
 	if err != nil {
 		return err
 	}
-	host.Workers = *workers
 	host.SetNoSidecar(*noSidecar)
 	host.NoCompactAnnounce = *noCompact
 	host.NoSalvage = *noSalvage
@@ -88,8 +86,6 @@ func runSource(args []string) error {
 		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
-		workers   = fs.Int("workers", 0, "pipeline encode workers (<1 = sequential engine)")
-		ckworker  = fs.Int("checksum-workers", 0, "deprecated alias for -workers (used when -workers is 0)")
 		rounds    = fs.Int("max-rounds", 0, "pre-copy round cap (0 = engine default)")
 		stopAt    = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
 		idle      = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
@@ -152,8 +148,6 @@ func runSource(args []string) error {
 		KeepCheckpoint:    true,
 		Compress:          *compress,
 		Alg:               alg,
-		Workers:           *workers,
-		ChecksumWorkers:   *ckworker,
 		MaxRounds:         *rounds,
 		StopThreshold:     *stopAt,
 		NoCompactAnnounce: *noCompact,

@@ -31,6 +31,10 @@
 // metrics and migration traces over HTTP (/metrics in Prometheus text
 // format, /debug/migrations, /debug/pprof) and -trace-out to export the
 // per-migration event traces as JSONL on exit; see docs/OBSERVABILITY.md.
+//
+// No subcommand takes a pipeline width: both migration engines run
+// min(GOMAXPROCS, 8) workers, so the GOMAXPROCS environment variable sets
+// it.
 package main
 
 import (

@@ -46,6 +46,18 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"dest"}); err == nil {
 		t.Error("dest without -store accepted")
 	}
+	// The pipeline width follows GOMAXPROCS: no subcommand takes one. The
+	// required flags are present, so only the width flag can fail.
+	store := t.TempDir()
+	for _, args := range [][]string{
+		{"dest", "-store", store, "-workers", "2"},
+		{"source", "-dest", "127.0.0.1:1", "-store", store, "-workers", "2"},
+		{"fleet", "-workers", "2"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 func TestDemoEndToEnd(t *testing.T) {
@@ -57,11 +69,10 @@ func TestDemoEndToEnd(t *testing.T) {
 }
 
 func TestFleetWithCompression(t *testing.T) {
-	// The fleet command end-to-end with the new engine flags plumbed
-	// through: compression plus parallel checksumming must not disturb the
-	// migration outcome.
+	// The fleet command end-to-end with compression plumbed through: it
+	// must not disturb the migration outcome.
 	err := run([]string{"fleet", "-hosts", "2", "-vms", "2", "-mem", "1MiB",
-		"-rounds", "2", "-touch", "4", "-compress", "-workers", "2"})
+		"-rounds", "2", "-touch", "4", "-compress"})
 	if err != nil {
 		t.Fatalf("fleet with -compress failed: %v", err)
 	}

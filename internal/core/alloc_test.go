@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -34,6 +35,10 @@ func scriptedPeer(t *testing.T) []byte {
 // process-wide pools.
 func migrationAllocBytes(t *testing.T, v *vm.VM, script []byte, workers int) uint64 {
 	t.Helper()
+	// One P for the whole measurement: sync.Pool keeps a per-P private
+	// slot the other Ps cannot see, so on several Ps a pooled object can
+	// miss and be rebuilt at random, whatever the width under test.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func() {
 		conn := readWriter{bytes.NewReader(script), io.Discard}
 		if _, err := MigrateSource(context.Background(), conn, v, SourceOptions{
@@ -47,6 +52,10 @@ func migrationAllocBytes(t *testing.T, v *vm.VM, script []byte, workers int) uin
 		run()
 	}
 	runtime.GC()
+	// A collection inside the measured loop empties the sync.Pools, and
+	// their refills would count as allocations: keep the GC off until the
+	// loop is measured.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const iters = 5
@@ -109,6 +118,8 @@ func TestPipelineAllocCeiling(t *testing.T) {
 // pipeline width, after warming the process-wide pools.
 func fullMigrationAllocBytes(t *testing.T, src, dst *vm.VM, workers int) uint64 {
 	t.Helper()
+	// One P and no GC inside the measured loop, as in migrationAllocBytes.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func() {
 		a, c := net.Pipe()
 		var wg sync.WaitGroup
@@ -133,6 +144,7 @@ func fullMigrationAllocBytes(t *testing.T, src, dst *vm.VM, workers int) uint64 
 		run()
 	}
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const iters = 5

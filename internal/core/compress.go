@@ -155,41 +155,16 @@ func writePageFullZ(w io.Writer, page uint64, sum checksum.Sum, compressed []byt
 
 // pageDecompressor inflates page payloads, reusing one decoder.
 type pageDecompressor struct {
-	comp []byte
-	fr   io.ReadCloser
+	fr io.ReadCloser
 }
 
 func newPageDecompressor() *pageDecompressor {
-	return &pageDecompressor{
-		comp: make([]byte, 0, vm.PageSize),
-		fr:   flate.NewReader(bytes.NewReader(nil)),
-	}
-}
-
-// readInto reads one compressed payload (length prefix + deflate stream)
-// from r and inflates exactly PageSize bytes into dst.
-func (d *pageDecompressor) readInto(r io.Reader, dst []byte) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return fmt.Errorf("core: read compressed length: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n >= vm.PageSize {
-		return fmt.Errorf("%w: compressed page length %d out of (0,%d)", ErrProtocol, n, vm.PageSize)
-	}
-	if cap(d.comp) < int(n) {
-		d.comp = make([]byte, n)
-	}
-	d.comp = d.comp[:n]
-	if _, err := io.ReadFull(r, d.comp); err != nil {
-		return fmt.Errorf("core: read compressed payload: %w", err)
-	}
-	return d.inflate(d.comp, dst)
+	return &pageDecompressor{fr: flate.NewReader(bytes.NewReader(nil))}
 }
 
 // inflate decompresses one already-read deflate payload into dst, which
-// must hold exactly PageSize bytes. Pipeline workers use this directly:
-// the decoder stage reads the payload off the wire and the worker inflates
+// must hold exactly PageSize bytes: the decoder stage reads the payload off
+// the wire (readPayloadLen bounds its length) and a merge worker inflates
 // it off-thread.
 func (d *pageDecompressor) inflate(comp, dst []byte) error {
 	if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {

@@ -2,12 +2,28 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
+
+// readCompressed reads one compressed payload the way the merge does — the
+// length prefix through readPayloadLen, then the deflate stream — and
+// inflates it into dst.
+func readCompressed(d *pageDecompressor, r io.Reader, dst []byte) error {
+	n, err := readPayloadLen(r, msgPageFullZ)
+	if err != nil {
+		return err
+	}
+	comp := make([]byte, n)
+	if _, err := io.ReadFull(r, comp); err != nil {
+		return err
+	}
+	return d.inflate(comp, dst)
+}
 
 func TestCompressorRoundTrip(t *testing.T) {
 	comp, err := newPageCompressor()
@@ -42,7 +58,7 @@ func TestCompressorRoundTrip(t *testing.T) {
 		t.Fatalf("header: page=%d sum=%v err=%v", pageNo, gotSum, err)
 	}
 	out := make([]byte, vm.PageSize)
-	if err := decomp.readInto(&buf, out); err != nil {
+	if err := readCompressed(decomp, &buf, out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, page) {
@@ -94,7 +110,7 @@ func TestCompressorReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]byte, vm.PageSize)
-		if err := decomp.readInto(&buf, out); err != nil {
+		if err := readCompressed(decomp, &buf, out); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 		if !bytes.Equal(out, page) {
@@ -107,12 +123,12 @@ func TestDecompressorRejectsBadLengths(t *testing.T) {
 	decomp := newPageDecompressor()
 	out := make([]byte, vm.PageSize)
 	// Length 0.
-	if err := decomp.readInto(bytes.NewReader([]byte{0, 0, 0, 0}), out); err == nil {
+	if err := readCompressed(decomp, bytes.NewReader([]byte{0, 0, 0, 0}), out); err == nil {
 		t.Error("zero-length compressed page accepted")
 	}
 	// Length >= PageSize (would never have been sent compressed).
 	bad := []byte{0, 0x10, 0, 0} // 4096
-	if err := decomp.readInto(bytes.NewReader(bad), out); err == nil {
+	if err := readCompressed(decomp, bytes.NewReader(bad), out); err == nil {
 		t.Error("page-size compressed length accepted")
 	}
 }
@@ -122,7 +138,7 @@ func TestDecompressorRejectsGarbage(t *testing.T) {
 	out := make([]byte, vm.PageSize)
 	// Valid length, invalid deflate stream.
 	payload := append([]byte{8, 0, 0, 0}, []byte("notdeflate")[:8]...)
-	if err := decomp.readInto(bytes.NewReader(payload), out); err == nil {
+	if err := readCompressed(decomp, bytes.NewReader(payload), out); err == nil {
 		t.Error("garbage deflate stream accepted")
 	}
 }
@@ -243,7 +259,7 @@ func TestCompressionRoundTripProperty(t *testing.T) {
 			return false
 		}
 		out := make([]byte, vm.PageSize)
-		if err := decomp.readInto(&buf, out); err != nil {
+		if err := readCompressed(decomp, &buf, out); err != nil {
 			return false
 		}
 		return bytes.Equal(out, page)

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 
 	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
-	"vecycle/internal/delta"
 	"vecycle/internal/faultfs"
 	"vecycle/internal/vm"
 )
@@ -32,11 +30,11 @@ type DestOptions struct {
 	// and rejects mismatches. Costs one hash per page; useful under
 	// unreliable transports and in tests.
 	VerifyPayloads bool
-	// Workers sizes the destination pipeline: frame decoding runs on one
-	// goroutine while Workers goroutines decompress, verify, resolve
+	// Workers pins the destination pipeline width: frame decoding runs on
+	// one goroutine while Workers goroutines decompress, verify, resolve
 	// checkpoint blocks, apply deltas, and install pages. Installs within a
 	// round are disjoint frames and proceed unordered; round boundaries are
-	// barriers. Values below 1 keep the single-goroutine merge loop.
+	// barriers. Values below 1 derive the width: GOMAXPROCS, capped at 8.
 	Workers int
 	// NoCompactAnnounce keeps the v1 announcement encoding even when the
 	// source advertised the compact-announce capability. For interop testing
@@ -54,14 +52,6 @@ type DestOptions struct {
 	// announcement, round ends, done) for tracing. Emission never alters
 	// the wire stream.
 	OnEvent EventFunc
-}
-
-// workers resolves the effective pipeline width (0 = sequential merge).
-func (o *DestOptions) workers() int {
-	if o.Workers < 1 {
-		return 0
-	}
-	return o.Workers
 }
 
 // DestResult reports the outcome of an incoming migration.
@@ -339,12 +329,7 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		return res, err
 	}
 
-	if workers := opts.workers(); workers >= 1 {
-		err = s.mergePipelined(ctx, v, opts, cp, tbl, &res, start, workers)
-	} else {
-		err = s.mergeSequential(ctx, v, opts, cp, tbl, &res, start)
-	}
-	if err != nil {
+	if err = s.merge(ctx, v, opts, cp, tbl, &res, start); err != nil {
 		// A recycled-page read failure means this entry's bytes lie: the
 		// index promised content the disk would not yield. Quarantine it so
 		// the retry's announcement comes from the union or nothing and the
@@ -359,9 +344,9 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 				_ = opts.Store.Quarantine(h.VMName, "recycled-page read failed: "+me.Err.Error())
 			}
 		}
-		// Both merge engines have fully drained their workers by the time
-		// they return, so v's RAM is stable: persist the progress as a
-		// salvage checkpoint for the next attempt to resume from.
+		// The merge has fully drained its workers by the time it returns,
+		// so v's RAM is stable: persist the progress as a salvage
+		// checkpoint for the next attempt to resume from.
 		s.salvage(v, opts, &res)
 	}
 	return res, err
@@ -387,203 +372,6 @@ func (s *IncomingSession) salvage(v *vm.VM, opts DestOptions, res *DestResult) {
 	res.SalvagePages = installed
 	opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "written",
 		Pages: installed, Bytes: v.MemBytes()})
-}
-
-// mergeSequential is the single-goroutine merge loop — Listing 1, extended
-// with full-page installs and round bookkeeping. It is the reference the
-// pipelined variant is tested against.
-func (s *IncomingSession) mergeSequential(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, tbl *SumTable, res *DestResult, start time.Time) error {
-	h := s.h
-	w, r := s.w, s.r
-	pageBuf := make([]byte, vm.PageSize)
-	var deltaBuf []byte
-	st := getDestScratch()
-	defer putDestScratch(st)
-	var rng rangeFrame
-	// rangeFloor is where the next range frame may start: the source emits
-	// each round's pages in ascending order, so a range below the previous
-	// range's end is overlapping or descending — malformed. Reset each
-	// round (later rounds legitimately revisit pages).
-	var rangeFloor uint64
-	roundStart := s.cr.n
-	frameStart := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t, err := readMsgType(r)
-		if err != nil {
-			return err
-		}
-		switch t {
-		case msgRangeSum, msgRangeFull, msgRangeFullZ, msgRangeDelta:
-			if !s.rangeOK {
-				return fmt.Errorf("%w: %v received without range-frame negotiation", ErrProtocol, t)
-			}
-			if cp == nil && (t == msgRangeSum || t == msgRangeDelta) {
-				return fmt.Errorf("%w: %v received without a checkpoint", ErrProtocol, t)
-			}
-			if err := readRangeFrame(r, t, v.NumPages(), rangeFloor, &rng); err != nil {
-				return err
-			}
-			rangeFloor = rng.start + uint64(rng.count)
-			if err := applyRange(v, cp, h.Alg, opts.VerifyPayloads, &rng, st, tbl, &res.Metrics); err != nil {
-				return err
-			}
-			res.Metrics.PageFrames++
-			res.Metrics.RangeFrames++
-
-		case msgPageFull, msgPageFullZ:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
-			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			res.Metrics.PageFrames++
-			if t == msgPageFullZ {
-				if st.decomp == nil {
-					st.decomp = newPageDecompressor()
-				}
-				if err := st.decomp.readInto(r, pageBuf); err != nil {
-					return err
-				}
-				res.Metrics.PagesCompressed++
-			} else if _, err := io.ReadFull(r, pageBuf); err != nil {
-				return fmt.Errorf("core: read page %d payload: %w", page, err)
-			}
-			if opts.VerifyPayloads {
-				if got := h.Alg.Page(pageBuf); got != sum {
-					return fmt.Errorf("%w: page %d payload checksum mismatch", ErrProtocol, page)
-				}
-			}
-			v.InstallPage(int(page), pageBuf)
-			// The header sum describes the installed bytes — verified above
-			// when VerifyPayloads is set, trusted at the protocol's own level
-			// otherwise (the same trust a recycled page-sum frame gets).
-			tbl.record(int(page), sum)
-			res.Metrics.PagesFull++
-
-		case msgPageSum:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
-			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			if cp == nil {
-				return fmt.Errorf("%w: page-sum received without a checkpoint", ErrProtocol)
-			}
-			res.Metrics.PageFrames++
-			res.Metrics.PagesSum++
-			// Fast path: the frame already holds this content, by the sum
-			// table's record (a bootstrap or earlier install) or, for a
-			// frame it has no entry for, by digesting it.
-			inPlace := tbl.holds(v, int(page), sum, h.Alg, &res.Metrics)
-			// Either way the page ends up holding content with this digest.
-			tbl.record(int(page), sum)
-			if inPlace {
-				res.Metrics.PagesReusedInPlace++
-				continue
-			}
-			// Slow path: look the checksum up in the checkpoint index and
-			// re-read the block from disk (lseek+read of Listing 1).
-			data, ok, err := cp.ReadBlock(sum)
-			if err != nil {
-				return recycleReadErr(err)
-			}
-			if !ok {
-				return fmt.Errorf("%w: source referenced checksum %v absent from checkpoint", ErrProtocol, sum)
-			}
-			v.InstallPage(int(page), data)
-			cp.Release(data)
-			res.Metrics.PagesReusedFromDisk++
-
-		case msgPageDelta:
-			page, sum, err := readPageHeader(r)
-			if err != nil {
-				return err
-			}
-			if page >= uint64(v.NumPages()) {
-				return fmt.Errorf("%w: page %d out of range", ErrProtocol, page)
-			}
-			if cp == nil {
-				return fmt.Errorf("%w: page-delta received without a checkpoint", ErrProtocol)
-			}
-			res.Metrics.PageFrames++
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-				return fmt.Errorf("core: read delta length: %w", err)
-			}
-			n := binary.LittleEndian.Uint32(lenBuf[:])
-			if n == 0 || n > vm.PageSize {
-				return fmt.Errorf("%w: delta length %d out of range", ErrProtocol, n)
-			}
-			if cap(deltaBuf) < int(n) {
-				deltaBuf = make([]byte, n)
-			}
-			enc := deltaBuf[:n]
-			if _, err := io.ReadFull(r, enc); err != nil {
-				return fmt.Errorf("core: read delta payload: %w", err)
-			}
-			// The frame still holds bootstrap (checkpoint) content in round
-			// one; apply the delta against it.
-			v.ReadPage(int(page), pageBuf)
-			if err := delta.Decode(pageBuf, enc, pageBuf); err != nil {
-				return fmt.Errorf("%w: %v", ErrProtocol, err)
-			}
-			// Deltas are always verified: a base mismatch (stale mirror at
-			// the source) silently corrupts otherwise.
-			if got := h.Alg.Page(pageBuf); got != sum {
-				return fmt.Errorf("%w: page %d delta produced checksum mismatch (stale delta base?)", ErrProtocol, page)
-			}
-			v.InstallPage(int(page), pageBuf)
-			tbl.record(int(page), sum)
-			res.Metrics.PagesDelta++
-
-		case msgRoundEnd:
-			round, dirty, err := readRoundEnd(r)
-			if err != nil {
-				return err
-			}
-			res.Metrics.Rounds++
-			opts.OnEvent.emit(Event{Kind: EventRound, Round: int(round),
-				Pages: int64(dirty), Bytes: s.cr.n - roundStart,
-				Frames: int64(res.Metrics.PageFrames - frameStart)})
-			roundStart = s.cr.n
-			frameStart = res.Metrics.PageFrames
-			rangeFloor = 0
-
-		case msgDone:
-			if err := writeMsgType(w, msgAck); err != nil {
-				return err
-			}
-			if err := flush(w); err != nil {
-				return err
-			}
-			res.Metrics.Duration = time.Since(start)
-			opts.OnEvent.emit(Event{Kind: EventDone, Bytes: s.cr.n})
-			// Record the checksum set of the *final* arrived state. This is
-			// exactly "the set of pages existing at the source" (§3.2): the
-			// source checkpoints its paused final state, which is what this
-			// VM now holds — the sound basis for a later ping-pong return
-			// leg. The sum table already carries each page's last installed
-			// digest (stale intermediate contents were overwritten in the
-			// table just as in RAM), so finishTrack folds it into the set
-			// and hashes only pages no frame ever covered.
-			if opts.TrackIncoming {
-				hashed, avoided := tbl.finishTrack(v, res.SeenSums)
-				res.Metrics.HashBytes += hashed
-				res.Metrics.HashAvoidedBytes += avoided
-			}
-			return nil
-
-		default:
-			return fmt.Errorf("%w: unexpected %v during merge", ErrProtocol, t)
-		}
-	}
 }
 
 // validateHello returns a rejection reason, or "" to accept.

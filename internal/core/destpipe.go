@@ -14,14 +14,14 @@ import (
 	"vecycle/internal/vm"
 )
 
-// The destination half of the pipelined engine: the decoder stage (the
-// calling goroutine) parses frames off the wire, and a worker pool
+// The destination half of the pipelined engine — Listing 1's merge loop,
+// extended with full-page installs and round bookkeeping: the decoder stage
+// (the calling goroutine) parses frames off the wire, and a worker pool
 // decompresses, verifies, resolves checkpoint blocks, applies deltas, and
 // installs pages. Within a round the source sends each frame at most once,
 // so installs are disjoint and need no ordering; the decoder drains the
 // pool (a barrier) at every round boundary before frames can repeat, which
-// preserves the cross-round last-write-wins semantics of the sequential
-// merge loop.
+// keeps cross-round semantics last-write-wins.
 
 // destJob carries one parsed page message — a single-page frame or a
 // coalesced page-range frame — from the decoder to the workers.
@@ -101,8 +101,9 @@ func (ws *destWorker) process(j *destJob) error {
 
 	case msgPageSum:
 		ws.m.PagesSum++
-		// Fast path: the frame already holds this content (see
-		// mergeSequential).
+		// Fast path: the frame already holds this content, by the sum
+		// table's record (a bootstrap or earlier install) or, for a frame it
+		// has no entry for, by digesting it.
 		inPlace := ws.tbl.holds(ws.v, page, j.sum, ws.alg, &ws.m)
 		// Either way the page ends up holding content with this digest.
 		ws.tbl.record(page, j.sum)
@@ -143,14 +144,15 @@ func (ws *destWorker) process(j *destJob) error {
 	return nil
 }
 
-// mergePipelined is the concurrent variant of the merge loop: it decodes
-// frames on the calling goroutine and fans the page work out to `workers`
-// goroutines. Any worker error cancels the pipeline's context, whose
-// watcher aborts the connection so a decoder blocked mid-read observes the
-// failure; the decoder then drains the pool before returning, so no
-// goroutine outlives the call.
-func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, tbl *SumTable, res *DestResult, start time.Time, workers int) (err error) {
+// merge runs the merge loop: it decodes frames on the calling goroutine and
+// fans the page work out to pipelineWidth(opts.Workers) goroutines. Any
+// worker error cancels the pipeline's context, whose watcher aborts the
+// connection so a decoder blocked mid-read observes the failure; the
+// decoder then drains the pool before returning, so no goroutine outlives
+// the call.
+func (s *IncomingSession) merge(ctx context.Context, v *vm.VM, opts DestOptions, cp *checkpoint.Checkpoint, tbl *SumTable, res *DestResult, start time.Time) (err error) {
 	h := s.h
+	workers := pipelineWidth(opts.Workers)
 	w, r := s.w, s.r
 
 	pctx, cancel := context.WithCancel(ctx)
@@ -347,8 +349,14 @@ func (s *IncomingSession) mergePipelined(ctx context.Context, v *vm.VM, opts Des
 			res.Metrics.Duration = time.Since(start)
 			opts.OnEvent.emit(Event{Kind: EventDone, Bytes: s.cr.n})
 			// All installs have landed (inflight barrier above), so the sum
-			// table is the final arrived state; hash only what no frame
-			// covered. See mergeSequential's msgDone for the soundness note.
+			// table is the final arrived state. Its set is exactly "the set
+			// of pages existing at the source" (§3.2): the source
+			// checkpoints its paused final state, which is what this VM now
+			// holds — the sound basis for a later ping-pong return leg. The
+			// table carries each page's last installed digest (stale
+			// intermediate contents were overwritten in the table just as in
+			// RAM), so finishTrack folds it into the set and hashes only
+			// pages no frame ever covered.
 			if opts.TrackIncoming {
 				hashed, avoided := tbl.finishTrack(v, res.SeenSums)
 				res.Metrics.HashBytes += hashed

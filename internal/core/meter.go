@@ -88,8 +88,7 @@ type Metrics struct {
 	ProbeHashBytes int64
 	// Stages breaks the pipelined engine down by stage, so a throughput
 	// regression can be attributed (reader-bound, worker-bound, or
-	// wire-bound) instead of guessed. All zero when the sequential
-	// (Workers <= 0) engine ran.
+	// wire-bound) instead of guessed.
 	Stages StageMetrics
 	// Duration is the wall-clock migration time: from initiating the
 	// migration until the destination acknowledged the final merge. As in

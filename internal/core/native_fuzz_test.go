@@ -26,13 +26,24 @@ func FuzzAccept(f *testing.F) {
 	f.Add([]byte{byte(msgHello)})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := Accept(context.Background(), readWriter{bytes.NewReader(raw), io.Discard})
-		if err != nil {
-			return
-		}
-		// Structurally valid hello: the parsed sizes must be coherent.
-		if s.MemBytes() < 0 {
-			t.Errorf("negative MemBytes %d", s.MemBytes())
+		for _, workers := range garbageWidths {
+			s, err := Accept(context.Background(), readWriter{bytes.NewReader(raw), io.Discard})
+			if err != nil {
+				return
+			}
+			// Structurally valid hello: the parsed sizes must be coherent.
+			if s.MemBytes() < 0 {
+				t.Errorf("negative MemBytes %d", s.MemBytes())
+			}
+			// A small enough VM is merged too: the stream after the hello
+			// must terminate the merge with success or error, never panic.
+			if s.MemBytes() > 0 && s.MemBytes() <= 64*vm.PageSize {
+				v, err := vm.New(vm.Config{Name: s.VMName(), MemBytes: s.MemBytes(), Seed: 1})
+				if err != nil {
+					return
+				}
+				_, _ = s.Run(context.Background(), v, DestOptions{Workers: workers})
+			}
 		}
 	})
 }
@@ -57,8 +68,11 @@ func FuzzMergeStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Must terminate with success or error, never panic.
-		_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{})
+		// Must terminate with success or error at every merge width, never
+		// panic.
+		for _, workers := range garbageWidths {
+			_, _ = MigrateDest(context.Background(), readWriter{bytes.NewReader(raw), io.Discard}, dst, DestOptions{Workers: workers})
+		}
 	})
 }
 

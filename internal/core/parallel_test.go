@@ -3,8 +3,9 @@ package core
 import "testing"
 
 // TestParallelChecksumEquivalence verifies that the multi-worker first
-// round (§3.4's checksum-rate remedy) is observationally identical to the
-// sequential path: same transfer decisions, same destination memory.
+// round (§3.4's checksum-rate remedy) is observationally identical at the
+// derived width (0) and at pinned ones: same transfer decisions, same
+// destination memory.
 func TestParallelChecksumEquivalence(t *testing.T) {
 	// 300 pages: deliberately not a multiple of the 256-page batch.
 	src := newVM(t, "vm0", 300, 1)
@@ -24,7 +25,7 @@ func TestParallelChecksumEquivalence(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		dst := newVM(t, "vm0", 300, int64(100+workers))
 		sm, _ := migrate(t, src, dst,
-			SourceOptions{Recycle: true, ChecksumWorkers: workers},
+			SourceOptions{Recycle: true, Workers: workers},
 			DestOptions{Store: store, VerifyPayloads: true})
 		if !src.MemEqual(dst) {
 			t.Fatalf("workers=%d: memory differs at page %d", workers, src.FirstDifference(dst))
@@ -34,11 +35,11 @@ func TestParallelChecksumEquivalence(t *testing.T) {
 	base := results[0]
 	for i, sm := range results[1:] {
 		if sm.PagesFull != base.PagesFull || sm.PagesSum != base.PagesSum {
-			t.Errorf("variant %d: full/sum = %d/%d, sequential = %d/%d",
+			t.Errorf("variant %d: full/sum = %d/%d, derived width = %d/%d",
 				i+1, sm.PagesFull, sm.PagesSum, base.PagesFull, base.PagesSum)
 		}
 		if sm.BytesSent != base.BytesSent {
-			t.Errorf("variant %d: BytesSent = %d, sequential = %d", i+1, sm.BytesSent, base.BytesSent)
+			t.Errorf("variant %d: BytesSent = %d, derived width = %d", i+1, sm.BytesSent, base.BytesSent)
 		}
 	}
 }
@@ -52,7 +53,7 @@ func TestParallelChecksumWithCompression(t *testing.T) {
 	}
 	dst := newVM(t, "vm0", 300, 2)
 	sm, _ := migrate(t, src, dst,
-		SourceOptions{ChecksumWorkers: 4, Compress: true},
+		SourceOptions{Workers: 4, Compress: true},
 		DestOptions{VerifyPayloads: true})
 	if !src.MemEqual(dst) {
 		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))

@@ -25,15 +25,31 @@ import (
 // with the worker count instead of serializing on the sequencer.
 //
 // Ordering guarantee: the emitter writes batches strictly in read order, so
-// the wire stream is byte-for-byte identical to the sequential engine's for
-// any worker count. Per-page encoding decisions (checksum-set lookup, delta
-// attempt, deflate) depend only on the page content, never on neighbouring
-// pages, which is what makes the fan-out sound.
+// the wire stream is byte-for-byte identical for any worker count. Per-page
+// encoding decisions (checksum-set lookup, delta attempt, deflate) depend
+// only on the page content, never on neighbouring pages, which is what
+// makes the fan-out sound.
 
 // batchPages is the pipeline's work-unit size: 256 pages (1 MiB of guest
 // memory) amortizes channel and scheduling overhead while keeping at most a
 // few MiB in flight.
 const batchPages = 256
+
+// maxDerivedWidth caps the derived pipeline width at the widest series the
+// benchmark gate measures (BenchmarkFirstRound/workers=8), so the engine
+// never picks a width nobody measured.
+const maxDerivedWidth = 8
+
+// pipelineWidth resolves the worker count of both pipeline halves, source
+// and destination: a positive request pins it (the seam tests and
+// benchmarks use), anything else follows GOMAXPROCS, capped at
+// maxDerivedWidth.
+func pipelineWidth(requested int) int {
+	if requested > 0 {
+		return requested
+	}
+	return min(runtime.GOMAXPROCS(0), maxDerivedWidth)
+}
 
 // pageSeq enumerates the pages of one pre-copy round: the full address
 // space in round one, the harvested dirty list afterwards.
@@ -59,15 +75,15 @@ type pageBatch struct {
 	pages []int          // page numbers
 	data  []byte         // page payloads, len(pages)*PageSize
 	sums  []checksum.Sum // per-page digests, valid where known is set
-	known []bool         // sums[i] is data's digest: an arrival-time sum or the hash offload's
+	known []bool         // sums[i] is data's digest, recorded when the page arrived
 	buf   bytes.Buffer   // encoded wire frames, in page order
 	m     Metrics        // per-batch page counters
 	err   error          // set instead of buf when encoding failed
 	done  chan struct{}
 }
 
-// pageSum returns page i's digest: the known one when fillBatch or the
-// sequential engine's hash offload supplied it, computed in place otherwise.
+// pageSum returns page i's digest: the known one when fillBatch supplied
+// it, computed in place otherwise.
 func (b *pageBatch) pageSum(alg checksum.Algorithm, i int, data []byte) checksum.Sum {
 	if b.known[i] {
 		return b.sums[i]
@@ -139,8 +155,8 @@ func (s *pipelineStats) stageMetrics() StageMetrics {
 	}
 }
 
-// encoderConfig captures the per-round encoding parameters shared by the
-// sequential engine and every pipeline worker.
+// encoderConfig captures the per-round encoding parameters shared by every
+// pipeline worker.
 type encoderConfig struct {
 	alg      checksum.Algorithm
 	destSums *checksum.Set // nil: no redundancy elimination
@@ -194,8 +210,8 @@ func (e *sourceEncoder) release() {
 // encodePage emits the wire frame for one page: a bare checksum when the
 // destination already holds the content, else a delta against base when one
 // fits, else the full (possibly deflated) payload. base is non-nil in the
-// first round of a recycled migration only. sum is data's digest, computed
-// by the caller (possibly ahead of time by the hash offload).
+// first round of a recycled migration only. sum is data's digest, supplied
+// by the caller (see pageBatch.pageSum).
 func (e *sourceEncoder) encodePage(w io.Writer, base PageProvider, page uint64, sum checksum.Sum, data []byte, m *Metrics) error {
 	m.PageFrames++
 	if e.destSums != nil && e.destSums.Contains(sum) {
@@ -395,56 +411,6 @@ func fillBatch(v *vm.VM, b *pageBatch, known *knownSums) {
 			b.m.HashAvoidedBytes += vm.PageSize
 		}
 	}
-}
-
-// batchSumWorkers caps the sequential engine's hash-offload pool. The
-// offload exists to overlap digesting with the single-goroutine encode loop,
-// not to saturate the machine; past a few workers the batch is too small to
-// split further.
-const batchSumWorkers = 4
-
-// offloadBatchSums precomputes the digests of the batch's pages that have
-// no known sum on a small goroutine pool, so the sequential (Workers <= 0)
-// engine's encode loop reads them from b.sums instead of hashing inline —
-// the hash stage was its single-core wall. The digests are exactly the
-// ones encodeBatch would compute, so the wire stream is unchanged. Skipped
-// on a single-CPU process or when fewer than a batch of pages need hashing,
-// where the spawn overhead would exceed the win; pageSum then hashes the
-// rest inline.
-func offloadBatchSums(alg checksum.Algorithm, b *pageBatch) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > batchSumWorkers {
-		workers = batchSumWorkers
-	}
-	if workers < 2 {
-		return
-	}
-	todo := 0
-	for _, ok := range b.known {
-		if !ok {
-			todo++
-		}
-	}
-	if todo < minPagesPerSumWorker {
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k; i < len(b.known); i += workers {
-				if !b.known[i] {
-					b.sums[i] = alg.Page(b.data[i*vm.PageSize : (i+1)*vm.PageSize])
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	for i := range b.known {
-		b.known[i] = true
-	}
-	b.m.EncodeHashBytes += int64(todo) * vm.PageSize
 }
 
 // encodeBatch serializes every page of the batch into its buffer — in

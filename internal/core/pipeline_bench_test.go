@@ -114,8 +114,8 @@ func BenchmarkTrackIncoming(b *testing.B) {
 	}
 }
 
-// BenchmarkRecycledReturn measures the recycled return migration on the
-// default sequential engines, over net.Pipe: a 32 MiB guest, 95% random,
+// BenchmarkRecycledReturn measures the recycled return migration at the
+// derived pipeline width, over net.Pipe: a 32 MiB guest, 95% random,
 // with 5% of its pages rewritten since it arrived on the source. The
 // baseline arm sends everything to an empty destination. The recycled arm
 // returns to a destination holding the guest's arrival-time checkpoint,
@@ -245,7 +245,7 @@ func BenchmarkMergeLoop(b *testing.B) {
 	src := benchVM(b, 7)
 	rec := recordStream(b, src)
 	dst := benchVM(b, 8)
-	for _, workers := range []int{0, runtime.NumCPU()} {
+	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(benchPages * vm.PageSize)
 			for i := 0; i < b.N; i++ {

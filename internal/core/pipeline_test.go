@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -163,8 +165,9 @@ func goldenRunWith(t *testing.T, workers int, onEvent EventFunc, legacy, arrival
 	}()
 	go func() {
 		defer wg.Done()
-		// Half the variants merge pipelined too, so the golden stream is
-		// also decoded by both destination engines.
+		// The destination merges at half the source's width (the derived
+		// width when that rounds to zero), so the golden stream is also
+		// decoded at several merge widths.
 		_, derr = MigrateDest(context.Background(), b, dst, DestOptions{
 			Store:          store,
 			VerifyPayloads: true,
@@ -186,14 +189,51 @@ func goldenRunWith(t *testing.T, workers int, onEvent EventFunc, legacy, arrival
 	return rc.rec.Bytes(), sm, src
 }
 
-// TestGoldenStreamEquivalence asserts the pipelined source emits a
-// byte-identical wire stream to the sequential engine for several worker
-// counts, with compression, deltas, checksum elimination, and a second
-// round all active. The baseline runs with no event hook and every
-// variant with one, so equality also proves observability is about the
-// stream, never in it.
+// goldenDigest and goldenLegacyDigest are the SHA-256 of the golden
+// scenario's wire stream — range frames negotiated, and the per-page v1
+// fallback — as the single-goroutine source engine emitted it before the
+// pipeline became the only engine. Every width must reproduce them byte
+// for byte; the recording ran with no event hook.
+const (
+	goldenDigest       = "cea3a9b2ae1e68a9f464b86b7d57e55e5091670711f0cb2a8ef340f07c183c2a"
+	goldenLegacyDigest = "d8ba58f24741fbb99ae01382584fcb4d8a1745138e5edd62a0334149a7732d73"
+)
+
+func streamDigest(stream []byte) string {
+	sum := sha256.Sum256(stream)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenStreamEquivalence asserts the source emits the pinned golden
+// stream at several worker counts, with compression, deltas, checksum
+// elimination, and a second round all active. Every run has an event hook
+// installed, so equality also proves observability is about the stream,
+// never in it.
 func TestGoldenStreamEquivalence(t *testing.T) {
-	golden, gm, _ := goldenRun(t, 0, nil, false)
+	var gm Metrics
+	for i, workers := range []int{1, 2, 8} {
+		var events atomic.Int64
+		stream, sm, _ := goldenRun(t, workers, func(Event) { events.Add(1) }, false)
+		if events.Load() == 0 {
+			t.Fatalf("workers=%d: no events observed", workers)
+		}
+		if got := streamDigest(stream); got != goldenDigest {
+			t.Fatalf("workers=%d: stream digest %s (%d bytes), want the pinned %s",
+				workers, got, len(stream), goldenDigest)
+		}
+		if i == 0 {
+			gm = sm
+			continue
+		}
+		if sm.PagesFull != gm.PagesFull || sm.PagesSum != gm.PagesSum ||
+			sm.PagesDelta != gm.PagesDelta || sm.PagesCompressed != gm.PagesCompressed ||
+			sm.CompressAttempted != gm.CompressAttempted ||
+			sm.CompressSkipped != gm.CompressSkipped ||
+			sm.PageFrames != gm.PageFrames || sm.RangeFrames != gm.RangeFrames ||
+			sm.BytesSent != gm.BytesSent {
+			t.Errorf("workers=%d: metrics diverge: got %+v want %+v", workers, sm, gm)
+		}
+	}
 	// The scenario must actually exercise every encoding.
 	if gm.PagesSum == 0 || gm.PagesFull == 0 || gm.PagesDelta == 0 || gm.PagesCompressed == 0 {
 		t.Fatalf("golden scenario too narrow: %+v", gm)
@@ -208,7 +248,7 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 		t.Fatalf("golden scenario ran %d round(s), want >= 2", gm.Rounds)
 	}
 	// Range frames are on by default, and the scenario's same-treatment runs
-	// must actually coalesce — otherwise the variants below only re-prove the
+	// must actually coalesce — otherwise the variants above only re-prove the
 	// per-page path.
 	if gm.RangeFrames == 0 {
 		t.Fatal("golden scenario emitted no range frames")
@@ -217,59 +257,34 @@ func TestGoldenStreamEquivalence(t *testing.T) {
 		t.Fatalf("PageFrames = %d not below page count %d; nothing coalesced",
 			gm.PageFrames, gm.PagesSum+gm.PagesFull+gm.PagesDelta)
 	}
-	for _, workers := range []int{0, 1, 2, 8} {
-		var events atomic.Int64
-		stream, sm, _ := goldenRun(t, workers, func(Event) { events.Add(1) }, false)
-		if events.Load() == 0 {
-			t.Fatalf("workers=%d: no events observed", workers)
-		}
-		if !bytes.Equal(stream, golden) {
-			i := 0
-			for i < len(stream) && i < len(golden) && stream[i] == golden[i] {
-				i++
-			}
-			t.Fatalf("workers=%d: stream diverges from sequential at byte %d (lens %d vs %d)",
-				workers, i, len(stream), len(golden))
-		}
-		if sm.PagesFull != gm.PagesFull || sm.PagesSum != gm.PagesSum ||
-			sm.PagesDelta != gm.PagesDelta || sm.PagesCompressed != gm.PagesCompressed ||
-			sm.CompressAttempted != gm.CompressAttempted ||
-			sm.CompressSkipped != gm.CompressSkipped ||
-			sm.PageFrames != gm.PageFrames || sm.RangeFrames != gm.RangeFrames ||
-			sm.BytesSent != gm.BytesSent {
-			t.Errorf("workers=%d: metrics diverge: got %+v want %+v", workers, sm, gm)
-		}
-	}
 }
 
 // TestGoldenStreamLegacyV1 pins the unnegotiated fallback: with range
 // frames disabled on either side the wire stream is the per-page v1
-// encoding, byte-identical at every pipeline width, identical no matter
-// which side (or both) is old — and genuinely different bytes from the
-// negotiated range-frame stream.
+// encoding, the pinned legacy stream at every pipeline width — and
+// genuinely different bytes from the negotiated range-frame stream.
 func TestGoldenStreamLegacyV1(t *testing.T) {
-	legacy, lm, _ := goldenRun(t, 0, nil, true)
-	if lm.RangeFrames != 0 {
-		t.Fatalf("legacy run emitted %d range frames", lm.RangeFrames)
+	var legacy []byte
+	var lm Metrics
+	for _, workers := range []int{1, 2, 8} {
+		stream, sm, _ := goldenRun(t, workers, nil, true)
+		if got := streamDigest(stream); got != goldenLegacyDigest {
+			t.Fatalf("workers=%d: legacy stream digest %s (%d bytes), want the pinned %s",
+				workers, got, len(stream), goldenLegacyDigest)
+		}
+		if sm.RangeFrames != 0 {
+			t.Errorf("workers=%d: legacy run emitted %d range frames", workers, sm.RangeFrames)
+		}
+		legacy, lm = stream, sm
 	}
 	// v1 is strictly one frame per page.
 	if pages := lm.PagesSum + lm.PagesFull + lm.PagesDelta; lm.PageFrames != pages {
 		t.Fatalf("legacy PageFrames = %d, want one per page (%d)", lm.PageFrames, pages)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		stream, sm, _ := goldenRun(t, workers, nil, true)
-		if !bytes.Equal(stream, legacy) {
-			t.Fatalf("workers=%d: legacy stream diverges from sequential (lens %d vs %d)",
-				workers, len(stream), len(legacy))
-		}
-		if sm.RangeFrames != 0 {
-			t.Errorf("workers=%d: legacy run emitted %d range frames", workers, sm.RangeFrames)
-		}
-	}
 	// The negotiated stream must actually differ — coalescing reaches the
 	// wire — while the page-level metrics stay identical (classification is
 	// unchanged, only the framing is).
-	ranged, rm, _ := goldenRun(t, 0, nil, false)
+	ranged, rm, _ := goldenRun(t, 1, nil, false)
 	if bytes.Equal(ranged, legacy) {
 		t.Error("negotiated and legacy streams are identical; range frames never hit the wire")
 	}
@@ -284,19 +299,17 @@ func TestGoldenStreamLegacyV1(t *testing.T) {
 	}
 }
 
-// TestPipelineStageMetrics checks the per-stage counters are populated by a
-// pipelined run and absent from a sequential one.
+// TestPipelineStageMetrics checks every run populates the per-stage
+// counters, at the derived width (0) as at pinned ones.
 func TestPipelineStageMetrics(t *testing.T) {
-	_, seq, _ := goldenRun(t, 0, nil, false)
-	if seq.Stages.Batches != 0 {
-		t.Errorf("sequential run recorded %d pipeline batches", seq.Stages.Batches)
-	}
-	_, par, _ := goldenRun(t, 2, nil, false)
-	if par.Stages.Batches == 0 {
-		t.Error("pipelined run recorded no batches")
-	}
-	if par.Stages.WorkerBusy == 0 {
-		t.Error("pipelined run recorded no worker busy time")
+	for _, workers := range []int{0, 1, 2} {
+		_, m, _ := goldenRun(t, workers, nil, false)
+		if m.Stages.Batches == 0 {
+			t.Errorf("workers=%d: run recorded no pipeline batches", workers)
+		}
+		if m.Stages.WorkerBusy == 0 {
+			t.Errorf("workers=%d: run recorded no worker busy time", workers)
+		}
 	}
 }
 

@@ -399,10 +399,9 @@ func readRangeFrame(r io.Reader, t msgType, numPages int, floor uint64, f *range
 	return nil
 }
 
-// destScratch is the per-goroutine install state shared by the sequential
-// merge loop and each pipelined install worker: a span buffer that grows to
-// one full range, a checksum scratch for range-sum probes, and a lazily
-// created inflater.
+// destScratch is the per-goroutine install state of each merge worker: a
+// span buffer that grows to one full range, a checksum scratch for
+// range-sum probes, and a lazily created inflater.
 type destScratch struct {
 	buf    []byte
 	sums   []checksum.Sum

@@ -141,15 +141,16 @@ func scriptedSourceStream(t testing.TB, offerRanges bool, frame []byte) []byte {
 
 // TestRangeFrameNegotiationGate: a range frame from a peer that never
 // completed the negotiation — it did not offer the capability, or the
-// destination declined it — is a protocol violation on both destination
-// engines; with the handshake complete the same bytes install cleanly.
+// destination declined it — is a protocol violation at the derived merge
+// width and at a pinned one; with the handshake complete the same bytes
+// install cleanly.
 func TestRangeFrameNegotiationGate(t *testing.T) {
 	pages := [][]byte{make([]byte, vm.PageSize), make([]byte, vm.PageSize)}
 	pages[0][7], pages[1][4095] = 0xAB, 0xCD
 	frame := buildRangeFull(t, 3, pages)
 
 	for _, workers := range []int{0, 4} {
-		name := map[int]string{0: "sequential", 4: "pipelined"}[workers]
+		name := map[int]string{0: "default", 4: "pipelined"}[workers]
 		t.Run(name, func(t *testing.T) {
 			run := func(offer, decline bool) (*vm.VM, error) {
 				dst := newVM(t, "vm0", 64, 2)

@@ -56,17 +56,13 @@ type SourceOptions struct {
 	// range-capable destination. For interop testing and as an escape
 	// hatch.
 	NoRangeFrames bool
-	// Workers sizes the source pipeline: page reads, per-page encoding
+	// Workers pins the source pipeline width: page reads, per-page encoding
 	// (checksum + compression + delta), and wire emission run as concurrent
 	// stages, with Workers goroutines in the encode stage — §3.4's remedy
 	// when the checksum rate, not the network, bounds the migration
-	// (10/40 GbE). The wire stream is byte-for-byte identical to the
-	// sequential engine's for any worker count. Values below 1 keep the
-	// single-goroutine sequential engine.
+	// (10/40 GbE). The wire stream is byte-for-byte identical for any
+	// width. Values below 1 derive the width: GOMAXPROCS, capped at 8.
 	Workers int
-	// ChecksumWorkers is the deprecated name for Workers, kept so existing
-	// callers keep parallelizing; it is consulted only when Workers is 0.
-	ChecksumWorkers int
 	// DeltaBase supplies the content the destination's RAM will hold after
 	// its checkpoint bootstrap, per frame — typically this host's own
 	// mirror of the peer's checkpoint (checkpoint.Checkpoint satisfies the
@@ -148,20 +144,6 @@ func (o *SourceOptions) validate() error {
 		return fmt.Errorf("core: %v is not collision-resistant enough for cross-host matching", o.Alg)
 	}
 	return nil
-}
-
-// workers resolves the effective pipeline width: Workers wins, the
-// deprecated ChecksumWorkers is the fallback, and anything below 1 selects
-// the sequential engine (returned as 0).
-func (o *SourceOptions) workers() int {
-	w := o.Workers
-	if w == 0 {
-		w = o.ChecksumWorkers
-	}
-	if w < 1 {
-		return 0
-	}
-	return w
 }
 
 // PageProvider supplies the page content a delta can be based on.
@@ -311,38 +293,19 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 	// no longer allocates N fresh compressor windows every round.
 	cfg := encoderConfig{alg: opts.Alg, destSums: destSums, compress: opts.Compress,
 		ranges: h.RangeFrames && ack.RangeFrames, sent: opts.SentSums}
-	workers := opts.workers()
-	var seqEnc *sourceEncoder
-	var encs []*sourceEncoder
+	width := pipelineWidth(opts.Workers)
+	encs := make([]*sourceEncoder, 0, width)
 	defer func() {
-		seqEnc.release()
 		for _, e := range encs {
 			e.release()
 		}
 	}()
-	if workers == 0 {
-		seqEnc, err = newSourceEncoder(cfg)
+	for len(encs) < width {
+		e, err := newSourceEncoder(cfg)
 		if err != nil {
 			return m, err
 		}
-	} else {
-		for i := 0; i < workers; i++ {
-			e, err := newSourceEncoder(cfg)
-			if err != nil {
-				return m, err
-			}
-			encs = append(encs, e)
-		}
-	}
-	// stream sends one round's pages: through the staged pipeline when
-	// workers were requested, else through the sequential engine. Both emit
-	// identical bytes; base (delta encoding) and known (arrival digests)
-	// are set in round one only.
-	stream := func(pages pageSeq, base PageProvider, known *knownSums) error {
-		if workers >= 1 {
-			return runSourcePipeline(ctx, w, v, pages, encs, base, known, &m)
-		}
-		return sendSequential(ctx, w, v, pages, seqEnc, base, known, &m)
+		encs = append(encs, e)
 	}
 
 	// Reset the dirty log: everything the guest writes from here on must be
@@ -361,12 +324,13 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 
 	// Round 1: walk every page. With a destination checksum set, redundant
 	// pages shrink to (page number, checksum). Encoding runs on the worker
-	// pool; messages are still emitted in page order.
+	// pool; messages are still emitted in page order. The delta base and
+	// the arrival digests apply to round one only.
 	m.Rounds = 1
 	roundStart := cw.n
 	frameStart := m.PageFrames
 	attStart, skipStart := m.CompressAttempted, m.CompressSkipped
-	if err := stream(seqAll(v.NumPages()), opts.DeltaBase, known); err != nil {
+	if err := runSourcePipeline(ctx, w, v, seqAll(v.NumPages()), encs, opts.DeltaBase, known, &m); err != nil {
 		return m, err
 	}
 	if err := writeRoundEnd(w, 1, uint64(v.DirtyCount())); err != nil {
@@ -414,7 +378,7 @@ func MigrateSource(ctx context.Context, conn io.ReadWriter, v *vm.VM, opts Sourc
 		roundStart = cw.n
 		frameStart = m.PageFrames
 		attStart, skipStart = m.CompressAttempted, m.CompressSkipped
-		if err := stream(seqList(dirtyList), nil, nil); err != nil {
+		if err := runSourcePipeline(ctx, w, v, seqList(dirtyList), encs, nil, nil, &m); err != nil {
 			return m, err
 		}
 		if err := writeRoundEnd(w, uint32(round), uint64(len(dirtyList))); err != nil {
@@ -474,45 +438,6 @@ func sendFullPage(w io.Writer, page uint64, sum checksum.Sum, data []byte, comp 
 		}
 	}
 	return writePageFull(w, page, sum, data)
-}
-
-// sendSequential is the single-goroutine engine: it runs the same
-// batchPages-sized units as the pipeline (fill, encode, one buffered write
-// per batch) in order on the calling goroutine — the reference
-// implementation the pipeline is tested against, sharing its batch path so
-// the two cannot drift. Cancellation is checked once per batch.
-func sendSequential(ctx context.Context, w io.Writer, v *vm.VM, pages pageSeq, enc *sourceEncoder, base PageProvider, known *knownSums, m *Metrics) error {
-	n := pages.len()
-	b := batchPool.Get().(*pageBatch)
-	defer putBatch(b)
-	for off := 0; off < n; off += batchPages {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cnt := batchPages
-		if off+cnt > n {
-			cnt = n - off
-		}
-		b.pages = b.pages[:cnt]
-		for i := 0; i < cnt; i++ {
-			b.pages[i] = pages.at(off + i)
-		}
-		fillBatch(v, b, known)
-		// Hash offload: digest the batch's pages with no known sum on a
-		// small pool while this goroutine still owns the encode loop (the
-		// pipelined engine hashes inside its workers already).
-		offloadBatchSums(enc.alg, b)
-		if err := encodeBatch(enc, base, b); err != nil {
-			return err
-		}
-		if _, err := w.Write(b.buf.Bytes()); err != nil {
-			return err
-		}
-		m.addPageCounters(b.m)
-		b.buf.Reset()
-		b.m = Metrics{}
-	}
-	return nil
 }
 
 // deltaLimit caps delta size: beyond half a page the full (or compressed)

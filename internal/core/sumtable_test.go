@@ -226,7 +226,7 @@ func TestSumTableCorruptionTeardown(t *testing.T) {
 // page regardless of how the destination resolves it.
 func TestSumTableSalvage(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "pipelined"}[workers], func(t *testing.T) {
+		t.Run(map[int]string{0: "default", 4: "pipelined"}[workers], func(t *testing.T) {
 			const pages = 512
 			src := newVM(t, "vm0", pages, 1)
 			if err := src.FillRandom(0.95); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,20 +44,24 @@ func hashStage(t *testing.T, h *Host, stage string) bool {
 // return leg the source hashes only what the guest wrote since it arrived
 // — before departure and, through a concurrent writer, during round one —
 // and the destination checks its checksum frames against the sums its
-// bootstrap installed. Memory must match at every pipeline width.
+// bootstrap installed. Memory must match at every pipeline width: hosts
+// take the width from GOMAXPROCS, so each run pins it (0 keeps the
+// process's own).
 func TestReturnReusesArrivalSums(t *testing.T) {
 	const pages = 512
 	for _, workers := range []int{0, 1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			if workers > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			}
 			alpha, beta := newHost(t, "alpha"), newHost(t, "beta")
-			alpha.Workers, beta.Workers = workers, workers
 			addrA, addrB := listen(t, alpha), listen(t, beta)
 			v := newGuest(t, "vm0", pages)
 			if err := v.FillRandom(0.95); err != nil {
 				t.Fatal(err)
 			}
 			alpha.AddVM(v)
-			opts := MigrateOptions{Recycle: true, KeepCheckpoint: true, Workers: workers}
+			opts := MigrateOptions{Recycle: true, KeepCheckpoint: true}
 			if _, err := alpha.MigrateTo(context.Background(), addrB, "vm0", opts); err != nil {
 				t.Fatal(err)
 			}

@@ -91,12 +91,6 @@ type Host struct {
 	// DefaultIdleTimeout; negative disables the per-I/O deadline.
 	IdleTimeout time.Duration
 
-	// Workers sizes the pipelined merge of incoming migrations
-	// (core.DestOptions.Workers): frames are decoded on one goroutine while
-	// this many workers decompress, verify, and install pages. Values below
-	// 1 keep the sequential merge loop.
-	Workers int
-
 	// NoCompactAnnounce keeps incoming migrations on the v1 announcement
 	// encoding even when the source advertises the compact-announce
 	// capability (core.DestOptions.NoCompactAnnounce).
@@ -398,7 +392,6 @@ func (h *Host) runIncoming(ctx context.Context, session *core.IncomingSession, r
 	res, err := session.Run(ctx, dst, core.DestOptions{
 		Store:             h.store,
 		TrackIncoming:     true,
-		Workers:           h.Workers,
 		NoCompactAnnounce: h.NoCompactAnnounce,
 		NoRangeFrames:     h.NoRangeFrames,
 		NoSalvage:         h.NoSalvage,
@@ -714,10 +707,6 @@ type MigrateOptions struct {
 	// are only valid for baseline migrations — recycling needs a
 	// collision-resistant digest to stand in for page content.
 	Alg checksum.Algorithm
-	// Workers sizes the source pipeline (core.SourceOptions.Workers): page
-	// reads, per-page encoding, and wire emission overlap, with this many
-	// encode workers. Values below 1 keep the sequential engine.
-	Workers int
 	// NoCompactAnnounce withholds the compact-announce capability from the
 	// hello (core.SourceOptions.NoCompactAnnounce), pinning the v1
 	// announcement encoding.
@@ -726,9 +715,6 @@ type MigrateOptions struct {
 	// hello (core.SourceOptions.NoRangeFrames), pinning the per-page v1
 	// page encoding.
 	NoRangeFrames bool
-	// ChecksumWorkers is the deprecated name for Workers
-	// (core.SourceOptions.ChecksumWorkers); consulted only when Workers is 0.
-	ChecksumWorkers int
 	// MaxRounds bounds the pre-copy rounds (core.SourceOptions.MaxRounds);
 	// 0 keeps the engine default.
 	MaxRounds int
@@ -866,8 +852,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 			SentSums:          sent,
 			Arrival:           arrival,
 			Compress:          opts.Compress,
-			Workers:           opts.Workers,
-			ChecksumWorkers:   opts.ChecksumWorkers,
 			MaxRounds:         opts.MaxRounds,
 			StopThreshold:     opts.StopThreshold,
 			NoCompactAnnounce: opts.NoCompactAnnounce,

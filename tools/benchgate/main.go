@@ -9,7 +9,7 @@
 //   - scaling floor: every BenchmarkFirstRound/workers=N width stays
 //     within -min-ratio of the workers=1 throughput (the regression the
 //     range-frame work fixed: adding workers must never make migrations
-//     meaningfully slower than the sequential engine);
+//     meaningfully slower than a single encode worker);
 //   - allocation flatness: workers=8 allocates at most -alloc-slack bytes
 //     per migration more than workers=1 (the regression the pooled wire
 //     buffers and install scratch fixed: before pooling, workers=8 sat
@@ -28,7 +28,11 @@
 //     -min-ratio of its own previous
 //     throughput, and its B/op does not grow more than -alloc-slack
 //     beyond it. Series absent from either recording are skipped (the
-//     benchmark matrix may legitimately change).
+//     benchmark matrix may legitimately change). When the two recordings
+//     name different runners — the `cpu:` header, or the GOMAXPROCS the
+//     series names carry as a -N suffix — both are printed next to the
+//     verdict, since a width gated on one core and re-measured on two is
+//     not the same experiment.
 //
 // The gates are deliberately floors, not speedup targets: CI runners are
 // often single-core, where all widths converge, and sync.Pool refills
@@ -38,7 +42,8 @@
 // regressions above, which were 3x slowdowns and multi-MB/op growth.
 // On multi-core hardware the recorded ratios document the realized
 // speedup; the deterministic per-migration allocation ceiling lives in
-// internal/core's alloc tests, which force GC and are noise-free.
+// internal/core's alloc tests, which measure on one P with the GC off and
+// are noise-free.
 package main
 
 import (
@@ -66,12 +71,25 @@ type series struct {
 	bop  float64
 }
 
+// runner describes the machine a recording was made on: the first `cpu:`
+// header and the GOMAXPROCS of its result lines.
+type runner struct {
+	cpu   string
+	procs int
+}
+
+func (r runner) String() string {
+	return fmt.Sprintf("%q at GOMAXPROCS %d", r.cpu, r.procs)
+}
+
 var (
 	// resultLine matches one reassembled benchmark result line; the name
 	// keeps its GOMAXPROCS suffix (stripped separately) and only series
 	// reporting MB/s are kept.
-	resultLine  = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+.*?(\d+(?:\.\d+)?) MB/s(?:\s+(\d+) B/op)?`)
-	procsSuffix = regexp.MustCompile(`-\d+$`)
+	resultLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+.*?(\d+(?:\.\d+)?) MB/s(?:\s+(\d+) B/op)?`)
+	// procsSuffix is the GOMAXPROCS suffix `go test` appends to a result's
+	// name; it omits the suffix when GOMAXPROCS is 1.
+	procsSuffix = regexp.MustCompile(`-(\d+)$`)
 	workersName = regexp.MustCompile(`^BenchmarkFirstRound/workers=(\d+)$`)
 )
 
@@ -94,7 +112,7 @@ func main() {
 	warmRatio := flag.Float64("warm-ratio", 1.5, "minimum BenchmarkSaveWarm/withsums throughput relative to BenchmarkSaveWarm/rehash")
 	flag.Parse()
 
-	speeds, err := parseFile(*file)
+	speeds, host, err := parseFile(*file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
@@ -116,27 +134,32 @@ func main() {
 			fmt.Printf("benchgate: no baseline at %s, skipping regression gate\n", *baseline)
 			return
 		}
-		prev, err := parseFile(*baseline)
+		prev, prevHost, err := parseFile(*baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
 			os.Exit(1)
 		}
-		if err := gateBaseline(speeds, prev, *minRatio, *allocSlack); err != nil {
+		err = gateBaseline(speeds, prev, *minRatio, *allocSlack)
+		if host != prevHost {
+			fmt.Printf("benchgate: runners differ: baseline recorded on %v, this recording on %v\n", prevHost, host)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// parseFile extracts the MB/s and B/op per benchmark series from a go test
-// -json stream. A single benchmark result line is split across several
+// parseFile extracts the MB/s and B/op per benchmark series, and the
+// runner, from a go test -json stream. A single benchmark result line is split across several
 // output events (the name flushes before the timing columns), so the
 // events are reassembled into plain text before matching; when a series
 // was recorded more than once the last run wins.
-func parseFile(path string) (map[string]series, error) {
+func parseFile(path string) (map[string]series, runner, error) {
+	host := runner{procs: 1}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, host, err
 	}
 	defer f.Close()
 
@@ -153,14 +176,21 @@ func parseFile(path string) (map[string]series, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, host, err
 	}
 
 	speeds := make(map[string]series)
 	for _, line := range strings.Split(text.String(), "\n") {
-		m := resultLine.FindStringSubmatch(strings.TrimSpace(line))
+		line = strings.TrimSpace(line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && host.cpu == "" {
+			host.cpu = cpu
+		}
+		m := resultLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
+		}
+		if p := procsSuffix.FindStringSubmatch(m[1]); p != nil {
+			host.procs, _ = strconv.Atoi(p[1])
 		}
 		name := procsSuffix.ReplaceAllString(m[1], "")
 		s, err := strconv.ParseFloat(m[2], 64)
@@ -173,7 +203,7 @@ func parseFile(path string) (map[string]series, error) {
 		}
 		speeds[name] = series{mbps: s, bop: bop}
 	}
-	return speeds, nil
+	return speeds, host, nil
 }
 
 // firstRound projects the BenchmarkFirstRound/workers=N series out of the
