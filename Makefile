@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-pipeline bench benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range docs profile ci
+.PHONY: build test vet race race-pipeline bench benchgate bench-smoke chaos-smoke chaos-store dedup-smoke fuzz-range fuzz-store docs profile ci
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,12 @@ fuzz-range:
 	$(GO) test -run '^$$' -fuzz FuzzRangeDecode -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRangeMergeStream -fuzztime 5s ./internal/core/
 
+# fuzz-store runs the page-manifest parser fuzzer briefly beyond its seed
+# corpus: the pmf is the fingerprint index a warm restore trusts, and
+# recovery parses it off a possibly damaged disk.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz FuzzLoadPMF -fuzztime 5s ./internal/checkpoint/
+
 # docs is the documentation gate: every exported identifier in the
 # operator-facing packages must carry a doc comment, and every relative
 # markdown link in README/docs must resolve (tools/lintdocs).
@@ -104,6 +110,6 @@ docs:
 # full suite under the race detector (which includes the pipeline tests),
 # the chaos/resumability gate, the storage-fault gate, the dedup-store
 # gate, a single-iteration pass over every benchmark, short range-frame
-# fuzzing, and the worker-scaling gate on the committed benchmark
-# recording.
-ci: vet docs race race-pipeline chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range benchgate
+# and page-manifest fuzzing, and the worker-scaling gate on the committed
+# benchmark recording.
+ci: vet docs race race-pipeline chaos-smoke chaos-store dedup-smoke bench-smoke fuzz-range fuzz-store benchgate

@@ -21,7 +21,6 @@ func runDest(args []string) error {
 		store     = fs.String("store", "", "checkpoint store directory (required)")
 		count     = fs.Int("count", 1, "number of migrations to accept before exiting (0 = forever)")
 		name      = fs.String("name", "dest-host", "host name")
-		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars (always rehash images on restore)")
 		noCompact = fs.Bool("no-compact-announce", false, "keep the v1 announcement encoding even when the peer supports compaction")
 		noSalvage = fs.Bool("no-salvage", false, "discard partially-installed pages on failed incoming migrations instead of persisting a salvage checkpoint")
 		noRanges  = fs.Bool("no-range-frames", false, "keep the per-page v1 page encoding even when the peer supports coalesced page-range frames")
@@ -41,7 +40,6 @@ func runDest(args []string) error {
 	if err != nil {
 		return err
 	}
-	host.SetNoSidecar(*noSidecar)
 	host.NoCompactAnnounce = *noCompact
 	host.NoSalvage = *noSalvage
 	host.NoRangeFrames = *noRanges
@@ -82,7 +80,7 @@ func runSource(args []string) error {
 		recycle   = fs.Bool("recycle", true, "enable checkpoint-assisted migration")
 		postcopy  = fs.Bool("postcopy", false, "use the post-copy protocol (manifest + demand fetch)")
 		compress  = fs.Bool("compress", false, "deflate-compress full-page payloads (entropy-gated per page)")
-		csum      = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = engine default md5; weak algorithms only for baseline, non-recycled migrations)")
+		csum      = fs.String("checksum", "", "page checksum algorithm: md5, sha256, fnv, fast64 (empty = engine default sha256, the checkpoint store's page identity; md5 never recycles pages across VMs; weak algorithms only for baseline, non-recycled migrations)")
 		tcpDelay  = fs.Bool("tcp-delay", false, "re-enable Nagle's algorithm on migration sockets (default: TCP_NODELAY)")
 		tcpRead   = fs.Int("tcp-read-buffer", 0, "SO_RCVBUF for migration sockets in bytes (0 = OS default)")
 		tcpWrite  = fs.Int("tcp-write-buffer", 0, "SO_SNDBUF for migration sockets in bytes (0 = OS default)")
@@ -90,7 +88,6 @@ func runSource(args []string) error {
 		stopAt    = fs.Int("stop-threshold", 0, "dirty-page count triggering the final round (0 = engine default)")
 		idle      = fs.Duration("idle-timeout", 0, "per-I/O idle timeout (0 = default, negative disables)")
 		retries   = fs.Int("retries", 1, "total migration attempts on transient transport failures")
-		noSidecar = fs.Bool("no-sidecar", false, "disable checkpoint fingerprint sidecars (always rehash images on restore)")
 		noCompact = fs.Bool("no-compact-announce", false, "withhold the compact-announce capability (pin the v1 announcement encoding)")
 		noRanges  = fs.Bool("no-range-frames", false, "withhold the page-range-frame capability (pin the per-page v1 page encoding)")
 		opsAddr   = fs.String("ops-addr", "", "serve /metrics, /debug/migrations and /debug/pprof on this address (e.g. :9090)")
@@ -124,7 +121,6 @@ func runSource(args []string) error {
 		}
 	}
 	host.AddVM(guest)
-	host.SetNoSidecar(*noSidecar)
 	host.TCPDelay = *tcpDelay
 	host.TCPReadBuffer = *tcpRead
 	host.TCPWriteBuffer = *tcpWrite

@@ -12,13 +12,13 @@ import (
 
 // runStore inspects and repairs a checkpoint store directory:
 //
-//	vecycle store ls    -store DIR   list entries with state and sidecar status
+//	vecycle store ls    -store DIR   list entries with state and unique bytes
 //	vecycle store scrub -store DIR   run the recovery scan and report findings
 //	vecycle store gc    -store DIR   collect unreferenced page content
 //	vecycle store stat  -store DIR   pool-wide dedup accounting
 //
 // Opening the store already runs the startup recovery scan (orphaned temp
-// files deleted, legacy images adopted, torn segments quarantined); ls shows
+// files deleted, torn segments quarantined); ls shows
 // its outcome, scrub reports it explicitly.
 func runStore(args []string) error {
 	if len(args) < 1 {
@@ -66,18 +66,14 @@ func storeLs(st *checkpoint.Store) error {
 		return nil
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "NAME\tSTATE\tSIZE\tUNIQUE\tSIDECAR\tDIGEST\tREASON")
+	fmt.Fprintln(w, "NAME\tSTATE\tSIZE\tUNIQUE\tDIGEST\tREASON")
 	for _, e := range entries {
-		sidecar := "no"
-		if e.HasSidecar {
-			sidecar = "yes"
-		}
 		digest := e.Digest
 		if len(digest) > 12 {
 			digest = digest[:12]
 		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%s\t%s\n",
-			e.Name, e.State, e.Size, e.UniqueBytes, sidecar, digest, e.Reason)
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%s\n",
+			e.Name, e.State, e.Size, e.UniqueBytes, digest, e.Reason)
 	}
 	return w.Flush()
 }
@@ -123,9 +119,8 @@ func storeScrub(st *checkpoint.Store) error {
 			fmt.Printf("  %s: %s\n", label, strings.Join(names, ", "))
 		}
 	}
-	report("adopted", rep.Adopted)
 	report("quarantined", rep.Quarantined)
-	report("dropped (image vanished)", rep.Dropped)
+	report("dropped (page manifest vanished)", rep.Dropped)
 	report("temp files removed", rep.TempFiles)
 	report("cleanup failed (still on disk)", rep.CleanupFailures)
 	// Exit non-zero while any entry (newly or previously caught) remains

@@ -92,9 +92,8 @@ func TestStoreLs(t *testing.T) {
 			t.Errorf("ls output missing %q:\n%s", want, out)
 		}
 	}
-	// The complete and partial entries carry sidecars; the listing says so.
-	if !strings.Contains(out, "yes") {
-		t.Errorf("ls output reports no sidecars:\n%s", out)
+	if strings.Contains(out, "SIDECAR") {
+		t.Errorf("ls output still has a sidecar column:\n%s", out)
 	}
 }
 

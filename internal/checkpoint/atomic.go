@@ -10,12 +10,12 @@ import (
 )
 
 // Crash-consistent file plumbing. Every durable artifact the store owns —
-// image, fingerprint sidecar, generation vector, manifest — reaches its
+// segment, page manifest, generation vector, manifest — reaches its
 // final name through the same discipline: write a temp file in the store
 // directory, fsync it, rename it over the target, fsync the directory. A
 // crash at any instant therefore leaves either the old file or the new
 // one, never a torn hybrid; the only window that needs detection (a
-// renamed image whose manifest entry still describes the previous bytes)
+// renamed file whose manifest entry still describes the previous bytes)
 // is exactly what the startup recovery scan's digest check catches.
 
 // tmpSuffix marks in-flight writes. The recovery scan deletes any leftover

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,40 +31,46 @@ func fillPattern(v *vm.VM) {
 	}
 }
 
-func TestWriteAndOpenRestoresMemory(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 16, 1)
-	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := newVM(t, "vm0", 16, 2)
-	cp, err := Open(path, checksum.MD5, dst)
+// savedStore saves src into a fresh store and returns the store.
+func savedStore(t *testing.T, src *vm.VM) *Store {
+	t.Helper()
+	store, err := NewStore(filepath.Join(t.TempDir(), "ckpts"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
-	if !src.MemEqual(dst) {
-		t.Errorf("restored memory differs at page %d", src.FirstDifference(dst))
+	if err := store.Save(src); err != nil {
+		t.Fatal(err)
 	}
-	if cp.Pages() != 16 {
-		t.Errorf("Pages = %d", cp.Pages())
-	}
-	if cp.Algorithm() != checksum.MD5 {
-		t.Errorf("Algorithm = %v", cp.Algorithm())
+	return store
+}
+
+func TestWriteAndOpenRestoresMemory(t *testing.T) {
+	src := newVM(t, "vm0", 16, 1)
+	fillPattern(src)
+	store := savedStore(t, src)
+	for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
+		dst := newVM(t, "vm0", 16, 2)
+		cp, err := store.Restore("vm0", alg, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !src.MemEqual(dst) {
+			t.Errorf("%v: restored memory differs at page %d", alg, src.FirstDifference(dst))
+		}
+		if cp.Pages() != 16 {
+			t.Errorf("%v: Pages = %d", alg, cp.Pages())
+		}
+		if cp.Algorithm() != alg {
+			t.Errorf("Algorithm = %v, want %v", cp.Algorithm(), alg)
+		}
+		cp.Close()
 	}
 }
 
 func TestOpenWithoutVM(t *testing.T) {
-	dir := t.TempDir()
 	src := newVM(t, "vm0", 8, 1)
 	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
+	cp, err := savedStore(t, src).Restore("vm0", checksum.MD5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,70 +81,71 @@ func TestOpenWithoutVM(t *testing.T) {
 }
 
 func TestOpenSizeMismatch(t *testing.T) {
-	dir := t.TempDir()
-	src := newVM(t, "vm0", 8, 1)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
+	store := savedStore(t, newVM(t, "vm0", 8, 1))
 	wrong := newVM(t, "vm0", 16, 1)
-	if _, err := Open(path, checksum.MD5, wrong); err == nil {
-		t.Error("size mismatch accepted")
+	for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
+		if _, err := store.Restore("vm0", alg, wrong); err == nil {
+			t.Errorf("%v: size mismatch accepted", alg)
+		}
 	}
 }
 
+// TestOpenTruncatedImage: a segment cut short behind the store's back
+// fails every restore that must read it — the MD5 rescan, and any install —
+// instead of serving short pages.
 func TestOpenTruncatedImage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.img")
-	if err := os.WriteFile(path, make([]byte, vm.PageSize+1), 0o644); err != nil {
-		t.Fatal(err)
+	src := newVM(t, "vm0", 8, 1)
+	fillPattern(src)
+	store := savedStore(t, src)
+	for _, seg := range store.Segments() {
+		if err := os.Truncate(filepath.Join(store.Dir(), seg.Name), segmentHeaderSize+8*checksum.Size+vm.PageSize+1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Open(path, checksum.MD5, nil); err == nil {
-		t.Error("non-page-aligned image accepted")
+	if _, err := store.Restore("vm0", checksum.MD5, nil); err == nil {
+		t.Error("truncated segment rescanned without error")
+	}
+	if _, err := store.Restore("vm0", ObjectAlgorithm, newVM(t, "vm0", 8, 2)); err == nil {
+		t.Error("truncated segment installed without error")
 	}
 }
 
 func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "none.img"), checksum.MD5, nil); err == nil {
-		t.Error("missing image accepted")
+	store := savedStore(t, newVM(t, "vm0", 8, 1))
+	if _, err := store.Restore("none", checksum.MD5, nil); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing entry: err = %v, want not-exist", err)
 	}
 }
 
 func TestOpenInvalidAlgorithm(t *testing.T) {
-	if _, err := Open("whatever", checksum.Algorithm(0), nil); err == nil {
+	store := savedStore(t, newVM(t, "vm0", 8, 1))
+	if _, err := store.Restore("vm0", checksum.Algorithm(0), nil); err == nil {
 		t.Error("invalid algorithm accepted")
 	}
 }
 
 func TestSumSetAnnouncesEveryBlock(t *testing.T) {
-	dir := t.TempDir()
 	src := newVM(t, "vm0", 8, 1)
 	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	for i := 0; i < src.NumPages(); i++ {
-		if !cp.SumSet().Contains(src.PageSum(i, checksum.MD5)) {
-			t.Errorf("page %d checksum missing from announcement", i)
+	store := savedStore(t, src)
+	for _, alg := range []checksum.Algorithm{ObjectAlgorithm, checksum.MD5} {
+		cp, err := store.Restore("vm0", alg, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < src.NumPages(); i++ {
+			if !cp.SumSet().Contains(src.PageSum(i, alg)) {
+				t.Errorf("%v: page %d checksum missing from announcement", alg, i)
+			}
+		}
+		cp.Close()
 	}
 }
 
 func TestReadBlockByChecksum(t *testing.T) {
-	dir := t.TempDir()
 	src := newVM(t, "vm0", 8, 1)
 	fillPattern(src)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
+	cp, err := savedStore(t, src).Restore("vm0", checksum.MD5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +168,11 @@ func TestReadBlockByChecksum(t *testing.T) {
 
 func TestIndexDuplicateBlocks(t *testing.T) {
 	// Two pages with identical content: lookup must return a valid offset.
-	dir := t.TempDir()
 	src := newVM(t, "vm0", 4, 1)
 	same := bytes.Repeat([]byte{0x42}, vm.PageSize)
 	src.WritePage(1, same)
 	src.WritePage(3, same)
-	path := filepath.Join(dir, "vm0.img")
-	if err := Write(path, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Open(path, checksum.MD5, nil)
+	cp, err := savedStore(t, src).Restore("vm0", checksum.MD5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

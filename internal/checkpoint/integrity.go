@@ -23,15 +23,9 @@ import (
 // recorded in the manifest), and Restore can be made to verify first via
 // the store's VerifyOnRestore knob.
 
-// digestPath is where a pre-manifest, pre-CAS store recorded a legacy
-// image's whole-file digest; recovery consumes it during adoption.
-func (s *Store) digestPath(vmName string) string {
-	return s.legacyImagePath(vmName) + ".sha256"
-}
-
 // Verify re-reads the named VM's pages from the object pool and checks each
-// against its recorded object key. An entry with no resolvable page keys
-// (absent, or an un-adopted legacy quarantine) verifies trivially.
+// against its recorded object key. An entry with no page keys (absent, or
+// quarantined with an unreadable page manifest) verifies trivially.
 func (s *Store) Verify(vmName string) error {
 	s.mu.Lock()
 	key := sanitize(vmName)

@@ -74,22 +74,34 @@ func TestVerifyOnRestore(t *testing.T) {
 	}
 
 	// Without the knob the (page-aligned) corruption is invisible: the warm
-	// sidecar path installs pages without hashing them.
+	// path announces the page manifest's keys without reading any page.
 	s.SetVerifyOnRestore(false)
-	cp, err = s.Restore("a", checksum.MD5, nil)
+	cp, err = s.Restore("a", ObjectAlgorithm, nil)
 	if err != nil {
 		t.Fatalf("unverified restore: %v", err)
 	}
 	cp.Close()
 }
 
+// TestRemoveDeletesDigest: Remove drops the entry's recorded digest and
+// the files it pinned — page manifest and generation vector — so nothing
+// of the entry survives a reopen.
 func TestRemoveDeletesDigest(t *testing.T) {
 	s := quotaStore(t)
 	saveVM(t, s, "a", 4)
 	if err := s.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.digestPath("a")); !os.IsNotExist(err) {
-		t.Error("digest sidecar survived Remove")
+	for _, p := range []string{s.pmfPath("a"), s.genPath("a")} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived Remove", filepath.Base(p))
+		}
+	}
+	s2, err := NewStore(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, ok := s2.Entry("a"); ok {
+		t.Errorf("removed entry's record survived a reopen: %+v", info)
 	}
 }

@@ -73,9 +73,9 @@ func segmentFileSize(count int) int64 {
 
 // writeSegment writes a segment holding the given object keys, reading slot
 // i's payload via page(i, buf). It returns the hex SHA-256 of the written
-// file, computed in the same pass. The write shares the image kill points
-// ("image-written", "image-synced", "image-renamed") with the legacy image
-// writer so the kill-point matrix drives both.
+// file, computed in the same pass. The kill points "image-written",
+// "image-synced" and "image-renamed" mark its commit steps for the
+// kill-point matrix.
 func writeSegment(fsys faultfs.FS, path string, keys []checksum.Sum, page func(i int, buf []byte)) (digest string, err error) {
 	tmp := path + tmpSuffix
 	f, err := fsys.Create(tmp)

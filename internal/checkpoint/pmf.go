@@ -14,7 +14,9 @@ import (
 // The page manifest file (pmf). Under content addressing a checkpoint entry
 // owns no page bytes of its own: it is the ordered list of object keys that
 // reconstructs the guest's memory, page frame by page frame, from the
-// host-wide segment pool. The pmf is that list, durably.
+// host-wide segment pool. The pmf is that list, durably — and, because the
+// keys are ObjectAlgorithm digests, also the entry's fingerprint index: a
+// warm Restore announces straight from it.
 //
 // File layout (little-endian):
 //
@@ -30,8 +32,7 @@ import (
 // whole pmf file. Because object keys are collision resistant, that one
 // digest pins the entry's complete logical content: the recovery scan can
 // decide "this pmf describes the committed transaction" with a single
-// small-file hash instead of re-reading gigabytes of pages, and the
-// fingerprint sidecar anchors to the same digest for its staleness check.
+// small-file hash instead of re-reading gigabytes of pages.
 const (
 	pmfSuffix     = ".pmf"
 	pmfVersion    = 1
@@ -73,29 +74,42 @@ func loadPMF(fsys faultfs.FS, path string) (keys []checksum.Sum, digest string, 
 	if err != nil {
 		return nil, "", fmt.Errorf("checkpoint: page manifest: %w", err)
 	}
-	if len(raw) < pmfHeaderSize {
-		return nil, "", fmt.Errorf("checkpoint: page manifest truncated (%d bytes)", len(raw))
-	}
-	if [4]byte(raw[0:4]) != pmfMagic {
-		return nil, "", fmt.Errorf("checkpoint: page manifest has bad magic %q", raw[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(raw[4:6]); v != pmfVersion {
-		return nil, "", fmt.Errorf("checkpoint: page manifest version %d, want %d", v, pmfVersion)
-	}
-	if got := checksum.Algorithm(raw[6]); got != ObjectAlgorithm {
-		return nil, "", fmt.Errorf("checkpoint: page manifest keyed with %v, store uses %v", got, ObjectAlgorithm)
-	}
-	if ps := binary.LittleEndian.Uint32(raw[8:12]); ps != vm.PageSize {
-		return nil, "", fmt.Errorf("checkpoint: page manifest page size %d, want %d", ps, vm.PageSize)
-	}
-	count := binary.LittleEndian.Uint64(raw[12:20])
-	if want := pmfHeaderSize + int(count)*checksum.Size; len(raw) != want {
-		return nil, "", fmt.Errorf("checkpoint: page manifest is %d bytes, want %d for %d pages", len(raw), want, count)
-	}
-	keys = make([]checksum.Sum, count)
-	for i := range keys {
-		keys[i] = checksum.Sum(raw[pmfHeaderSize+i*checksum.Size : pmfHeaderSize+(i+1)*checksum.Size])
+	if keys, err = decodePMF(raw); err != nil {
+		return nil, "", err
 	}
 	sum := sha256.Sum256(raw)
 	return keys, hex.EncodeToString(sum[:]), nil
+}
+
+// decodePMF parses pmf file bytes into the page-ordered object keys. It
+// reads bytes a damaged disk may have mangled, so every header field is
+// checked before it sizes anything.
+func decodePMF(raw []byte) ([]checksum.Sum, error) {
+	if len(raw) < pmfHeaderSize {
+		return nil, fmt.Errorf("checkpoint: page manifest truncated (%d bytes)", len(raw))
+	}
+	if [4]byte(raw[0:4]) != pmfMagic {
+		return nil, fmt.Errorf("checkpoint: page manifest has bad magic %q", raw[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(raw[4:6]); v != pmfVersion {
+		return nil, fmt.Errorf("checkpoint: page manifest version %d, want %d", v, pmfVersion)
+	}
+	if got := checksum.Algorithm(raw[6]); got != ObjectAlgorithm {
+		return nil, fmt.Errorf("checkpoint: page manifest keyed with %v, store uses %v", got, ObjectAlgorithm)
+	}
+	if ps := binary.LittleEndian.Uint32(raw[8:12]); ps != vm.PageSize {
+		return nil, fmt.Errorf("checkpoint: page manifest page size %d, want %d", ps, vm.PageSize)
+	}
+	// Compare the count against what the body holds before multiplying:
+	// a bit-rotted count near 2^64 would wrap the size computation.
+	count := binary.LittleEndian.Uint64(raw[12:20])
+	body := len(raw) - pmfHeaderSize
+	if count != uint64(body/checksum.Size) || body%checksum.Size != 0 {
+		return nil, fmt.Errorf("checkpoint: page manifest is %d bytes, want %d header bytes plus %d keys", len(raw), pmfHeaderSize, count)
+	}
+	keys := make([]checksum.Sum, count)
+	for i := range keys {
+		keys[i] = checksum.Sum(raw[pmfHeaderSize+i*checksum.Size : pmfHeaderSize+(i+1)*checksum.Size])
+	}
+	return keys, nil
 }

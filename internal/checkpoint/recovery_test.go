@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vecycle/internal/checksum"
@@ -37,18 +38,18 @@ func TestSaveSalvagePartialEntry(t *testing.T) {
 	if !s.Has("a") {
 		t.Error("partial entry should be servable")
 	}
-	if info.Digest == "" || !info.HasSidecar {
-		t.Errorf("salvage entry missing digest or sidecar: %+v", info)
+	if info.Digest == "" {
+		t.Errorf("salvage entry missing digest: %+v", info)
 	}
 	if _, ok, err := s.Generations("a"); err != nil || ok {
 		t.Errorf("partial entry has generations (ok=%v, err=%v)", ok, err)
 	}
-	cp, err := s.Restore("a", checksum.MD5, nil)
+	cp, err := s.Restore("a", ObjectAlgorithm, nil)
 	if err != nil {
 		t.Fatalf("restore partial: %v", err)
 	}
-	if cp.Sidecar() != SidecarHit {
-		t.Errorf("salvage restore sidecar = %v, want hit", cp.Sidecar())
+	if !cp.SumSet().Contains(v.PageSum(0, ObjectAlgorithm)) {
+		t.Error("salvage restore does not announce the salvaged pages")
 	}
 	cp.Close()
 
@@ -95,8 +96,7 @@ func TestKillPointMatrix(t *testing.T) {
 		{point: "image-synced", wantOld: true},       // segment tmp durable, before rename
 		{point: "image-renamed", wantOld: true},      // segment renamed but unrecorded: rolled back
 		{point: "pmf-written"},                       // page manifest replaced, store manifest stale
-		{point: "gens-written"},                      // satellite files written, manifest stale
-		{point: "sidecar-written"},                   // all files new, manifest still stale
+		{point: "gens-written"},                      // all files new, manifest still stale
 		{point: "manifest-committed", wantNew: true}, // transaction committed
 	}
 	for _, tc := range points {
@@ -208,9 +208,9 @@ func TestKillPointMatrix(t *testing.T) {
 
 func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 	// A torn segment must quarantine every entry whose pages it held; a torn
-	// fingerprint sidecar must not — Restore validates sidecars
-	// independently and falls back to the rescan, so tearing one can cost
-	// time, never correctness.
+	// MD5 fingerprint sidecar left behind by an older store must not — the
+	// page manifest is the only fingerprint index, so recovery sweeps the
+	// sidecar as garbage and the entry stays servable.
 	dir := filepath.Join(t.TempDir(), "s")
 	s, err := NewStore(dir)
 	if err != nil {
@@ -221,7 +221,8 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 	if err := s.Save(filledVM(t, "seg-torn", 4, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(filledVM(t, "idx-torn", 4, 4)); err != nil {
+	idxTorn := filledVM(t, "idx-torn", 4, 4)
+	if err := s.Save(idxTorn); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the segment holding seg-torn's pages mid-payload.
@@ -234,8 +235,9 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	// A torn sidecar is a truncation: the write stopped partway.
-	if err := os.Truncate(s.sidecarPath("idx-torn"), sidecarHeaderSize+5); err != nil {
+	// A torn sidecar is a truncated one: the write stopped partway.
+	sidecar := s.pmfPath("idx-torn") + ".idx"
+	if err := os.WriteFile(sidecar, []byte("VCFP\x01\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,68 +254,54 @@ func TestTornSegmentQuarantinedTornSidecarNot(t *testing.T) {
 	if info, _ := s2.Entry("idx-torn"); info.State != EntryComplete {
 		t.Errorf("torn sidecar state = %v (%s), want complete", info.State, info.Reason)
 	}
-	cp, err := s2.Restore("idx-torn", checksum.MD5, nil)
-	if err != nil {
-		t.Fatalf("torn sidecar must fall back, got %v", err)
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Errorf("recovery kept the stale sidecar (stat err=%v)", err)
 	}
-	if cp.Sidecar() != SidecarFallback {
-		t.Errorf("sidecar status = %v, want fallback", cp.Sidecar())
+	dst := newVM(t, "idx-torn", 4, 99)
+	cp, err := s2.Restore("idx-torn", ObjectAlgorithm, dst)
+	if err != nil {
+		t.Fatalf("entry next to a torn sidecar refused: %v", err)
 	}
 	cp.Close()
+	if !idxTorn.MemEqual(dst) {
+		t.Error("entry next to a torn sidecar restored wrong content")
+	}
 }
 
-func TestRecoveryAdoptsLegacyImage(t *testing.T) {
-	// An image written by a pre-CAS store (no manifest record, legacy
-	// .sha256 digest file) is adopted into the object pool as a complete
-	// entry; one that fails its recorded digest is quarantined untouched.
-	dir := filepath.Join(t.TempDir(), "s")
+// TestNewStoreRefusesVersion1Manifest: a version-1 manifest described a
+// store of one private image per VM. It is refused like any other unknown
+// version rather than adopted, and so is a store holding a flat .img image
+// of that layout: opening it without those checkpoints would lose them
+// silently.
+func TestNewStoreRefusesVersion1Manifest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "v1")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	v := filledVM(t, "legacy", 4, 4)
-	digest, err := writeImage(filepath.Join(dir, "legacy.img"), v)
-	if err != nil {
+	v1 := `{"version": 1, "entries": {"legacy": {"state": "complete", "size": 16384}}}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy.img.sha256"), []byte(digest+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A second legacy image with bit rot under its recorded digest.
-	if _, err := writeImage(filepath.Join(dir, "rotten.img"), filledVM(t, "rotten", 4, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "rotten.img.sha256"), []byte(digest+"\n"), 0o644); err != nil {
-		t.Fatal(err) // digest of the other image: guaranteed mismatch
+	if _, err := NewStore(dir); err == nil {
+		t.Error("version-1 manifest accepted")
 	}
 
+	dir = filepath.Join(t.TempDir(), "v2")
 	s, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Entry("legacy")
-	if !ok || info.State != EntryComplete || info.Digest == "" {
-		t.Errorf("legacy adoption = %+v, %v", info, ok)
-	}
-	// Adopted: the content round-trips out of the pool, and the .img file
-	// is retired.
-	dst := newVM(t, "legacy", 4, 99)
-	cp, err := s.Restore("legacy", checksum.MD5, dst)
-	if err != nil {
+	if err := s.Save(filledVM(t, "a", 4, 1)); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
-	if !v.MemEqual(dst) {
-		t.Error("adopted legacy content differs from the original image")
+	if err := os.WriteFile(filepath.Join(dir, "legacy.img"), make([]byte, 4*testPage), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.img")); !os.IsNotExist(err) {
-		t.Error("adopted legacy image file not retired")
+	if _, err := s.Scrub(); err == nil || !strings.Contains(err.Error(), "legacy.img") {
+		t.Errorf("Scrub over a flat image: err = %v, want a refusal naming it", err)
 	}
-	// Quarantined: untouched for forensics.
-	if info, _ := s.Entry("rotten"); info.State != EntryQuarantined {
-		t.Errorf("rotten legacy image state = %v, want quarantined", info.State)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "rotten.img")); err != nil {
-		t.Error("quarantined legacy image file removed")
+	if _, err := NewStore(dir); err == nil || !strings.Contains(err.Error(), "legacy.img") {
+		t.Errorf("NewStore over a flat image: err = %v, want a refusal naming it", err)
 	}
 }
 

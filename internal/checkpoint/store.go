@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"vecycle/internal/checksum"
 	"vecycle/internal/dirtytrack"
@@ -30,7 +32,7 @@ import (
 // pool drive a GC pass (gc.go) that deletes and compacts dead segments.
 //
 // Alongside each entry the store keeps a Miyakodori generation-vector
-// sidecar, so the dirty-tracking baseline can be driven from the same
+// file, so the dirty-tracking baseline can be driven from the same
 // stored state.
 //
 // The store is crash-consistent: every file reaches its name via
@@ -48,11 +50,11 @@ type Store struct {
 	man             manifestFile
 	quota           int64
 	verifyOnRestore bool
-	noSidecar       bool
 
 	// In-memory view of the object pool, rebuilt from the manifest and the
 	// segment key tables by the recovery scan — never persisted, so it can
-	// not desynchronize across a crash.
+	// not desynchronize across a crash. An entry's key list is never
+	// mutated in place: Restore hands it out as the announce sums.
 	objects map[checksum.Sum]objLoc   // object key → payload location
 	refs    map[checksum.Sum]int      // object key → entry references
 	keys    map[string][]checksum.Sum // entry → page-ordered object keys
@@ -83,16 +85,15 @@ type Metrics interface {
 	// pass deleted or compacted at least one segment, "clean" otherwise.
 	GCRun(outcome string)
 	// HashBytes reports n payload bytes a Save digested itself; stage is
-	// "save_keys" (the SHA-256 content-keying scan) or "save_sidecar" (the
-	// fingerprint sidecar build).
+	// "save_keys" (the ObjectAlgorithm content-keying scan).
 	HashBytes(stage string, n int64)
 	// HashAvoidedBytes reports n payload bytes whose digests were supplied
 	// precomputed by the caller (SaveWithSums) instead of recomputed.
 	HashAvoidedBytes(n int64)
-	// CleanupError reports a best-effort cleanup (superseded legacy files,
-	// satellite sweeps) that failed to remove path. The store carries on —
-	// the file is garbage, not state — but silent failures used to hide
-	// sick disks, so every one is now counted.
+	// CleanupError reports a best-effort cleanup (satellite sweeps) that
+	// failed to remove path. The store carries on — the file is garbage,
+	// not state — but silent failures used to hide sick disks, so every one
+	// is now counted.
 	CleanupError(path string)
 	// Degraded reports a rung of the graceful-degradation ladder taken
 	// inside the store itself — e.g. a union-bootstrap entry skipped
@@ -132,8 +133,7 @@ func (s *Store) drainMetrics() {
 }
 
 // NewStore opens (creating if needed) a checkpoint store rooted at dir and
-// runs the crash-recovery scan — including adoption of legacy per-image
-// checkpoints into the object pool — before returning.
+// runs the crash-recovery scan before returning.
 func NewStore(dir string) (*Store, error) {
 	return NewStoreFS(dir, faultfs.OS)
 }
@@ -176,16 +176,6 @@ func (s *Store) pmfPath(vmName string) string {
 	return filepath.Join(s.dir, sanitize(vmName)+pmfSuffix)
 }
 
-// sidecarPath reports where the named VM's fingerprint sidecar lives.
-func (s *Store) sidecarPath(vmName string) string {
-	return SidecarPath(s.pmfPath(vmName))
-}
-
-// legacyImagePath reports where a pre-CAS store kept the named VM's image.
-func (s *Store) legacyImagePath(vmName string) string {
-	return filepath.Join(s.dir, sanitize(vmName)+".img")
-}
-
 func (s *Store) genPath(vmName string) string {
 	return filepath.Join(s.dir, sanitize(vmName)+".gens.json")
 }
@@ -222,47 +212,42 @@ func (s *Store) Save(source *vm.VM) error {
 }
 
 // SaveWithSums is Save with a caller-supplied per-page digest table —
-// typically the sum table a migration recorded (core.SumTable) — so the
-// digest pass matching alg is skipped: the sidecar build when alg is
-// SidecarAlgorithm, the content-keying scan when it is ObjectAlgorithm. The
-// other pass still recomputes its own algorithm from the image.
+// typically the sum table a migration recorded (core.SumTable). A table
+// under ObjectAlgorithm is the entry's key list, so the content-keying scan
+// over the whole image is skipped; the store keeps its own copy, so the
+// caller may reuse the slice afterwards.
 //
-// The caller asserts sums[i] is alg's digest of the VM's current page i. A
-// wrong table poisons what that pass would have produced (a sidecar is
-// trusted on warm restore; content keys decide dedup identity), so hand over
-// only tables the migration protocol itself vouched for. A nil/short/alien
-// table is not an error — the save silently falls back to rehashing, so
-// callers need no special-casing for failed or untracked migrations.
+// The table is not trusted where a wrong key would reach other VMs: every
+// page the save adds to the pool is hashed and checked against its claimed
+// key before the segment is written. A destination records full pages'
+// sums from the frame headers, so a page corrupted in transit (or sent by
+// a lying peer) arrives under the sum of other content; filed under that
+// key, dedup would hand it to every VM that later saves the honest
+// content, and the union would serve it to other tenants. On a mismatch
+// the table is dropped and the save keys the whole image itself. Pages the
+// pool already holds are referenced unchecked: a wrong key there can only
+// misdescribe this VM's own entry. A nil, short or foreign-algorithm table
+// is not an error either — the save silently falls back to rehashing, so
+// callers need no special-casing for failed, untracked or MD5 migrations.
 func (s *Store) SaveWithSums(source *vm.VM, alg checksum.Algorithm, sums []checksum.Sum) error {
-	var pre *preSums
-	if len(sums) == source.NumPages() && alg.Valid() {
-		pre = &preSums{alg: alg, sums: sums}
+	var keys []checksum.Sum
+	if alg == ObjectAlgorithm && len(sums) == source.NumPages() {
+		keys = append([]checksum.Sum(nil), sums...)
 	}
 	s.mu.Lock()
-	_, err := s.saveLocked(source, EntryComplete, pre)
+	_, err := s.saveLocked(source, EntryComplete, keys)
 	s.mu.Unlock()
 	s.drainMetrics()
 	return err
 }
 
-// preSums is a caller-supplied digest table threaded into one save
-// transaction; covers reports whether it substitutes for a pass under alg.
-type preSums struct {
-	alg  checksum.Algorithm
-	sums []checksum.Sum
-}
-
-func (p *preSums) covers(alg checksum.Algorithm, pages int) bool {
-	return p != nil && p.alg == alg && len(p.sums) == pages
-}
-
 // SaveSalvage persists the VM's memory as a salvage checkpoint: a partial
 // entry holding whatever pages an interrupted incoming migration had
-// installed, with its own page manifest and fingerprint sidecar. The next
-// incoming attempt announces its page sums like any checkpoint, so the
-// source resends only what is missing. No generation vector is written —
-// a partial image is not a coherent guest state — and any stale one from
-// a previous complete checkpoint is removed.
+// installed, with its own page manifest. The next incoming attempt
+// announces its page sums like any checkpoint, so the source resends only
+// what is missing. No generation vector is written — a partial image is
+// not a coherent guest state — and any stale one from a previous complete
+// checkpoint is removed.
 func (s *Store) SaveSalvage(source *vm.VM) error {
 	s.mu.Lock()
 	_, err := s.saveLocked(source, EntryPartial, nil)
@@ -338,11 +323,22 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 	if pageKeys == nil {
 		return 0
 	}
-	own := map[checksum.Sum]int{}
+	// A key referenced once is this entry's alone; only keys with several
+	// references need their occurrences in this entry counted. Store.Entry
+	// runs this on every incoming migration's bootstrap, so the common case
+	// builds no map.
+	var n int64
+	var own map[checksum.Sum]int
 	for _, k := range pageKeys {
+		if s.refs[k] == 1 {
+			n += vm.PageSize
+			continue
+		}
+		if own == nil {
+			own = map[checksum.Sum]int{}
+		}
 		own[k]++
 	}
-	var n int64
 	for k, c := range own {
 		if s.refs[k] == c {
 			n += vm.PageSize
@@ -352,31 +348,39 @@ func (s *Store) uniqueBytesLocked(key string) int64 {
 }
 
 // saveLocked runs one save transaction. Write order is: new segment (only
-// the pages the pool is missing), page manifest, generation vector,
-// fingerprint sidecar, then — the commit point — the store manifest. A
-// crash before the manifest commit leaves the previous transaction's
-// manifest in charge: recovery rolls back unrecorded segments and
-// quarantines the entry if its pmf was already replaced.
+// the pages the pool is missing), page manifest, generation vector, then —
+// the commit point — the store manifest. A crash before the manifest commit
+// leaves the previous transaction's manifest in charge: recovery rolls back
+// unrecorded segments and quarantines the entry if its pmf was already
+// replaced.
 //
-// pre, when non-nil, carries a caller-supplied digest table (SaveWithSums)
-// that substitutes for whichever digest pass matches its algorithm; the
-// hash/hash-avoided metric events account each pass either way.
-func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup int, err error) {
+// pageKeys, when non-nil, is a store-owned ObjectAlgorithm table
+// (SaveWithSums) that replaces the content-keying scan once the pages it
+// adds to the pool check out against it.
+func (s *Store) saveLocked(source *vm.VM, state EntryState, pageKeys []checksum.Sum) (dedup int, err error) {
 	name := source.Name()
 	key := sanitize(name)
 	memBytes := source.MemBytes()
-	var pageKeys []checksum.Sum
-	if pre.covers(ObjectAlgorithm, source.NumPages()) {
-		pageKeys = pre.sums
-		s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
-	} else {
-		pageKeys = pageSums(source, ObjectAlgorithm)
+	supplied := pageKeys != nil
+	if !supplied {
+		pageKeys = pageSums(source)
 		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", memBytes) })
 	}
-	newSlots := s.missingLocked(pageKeys)
-	if s.quota > 0 {
-		if newSlots, err = s.fitQuotaLocked(key, pageKeys, newSlots); err != nil {
-			return 0, err
+	newSlots, err := s.placeLocked(key, pageKeys)
+	if err != nil {
+		return 0, err
+	}
+	if supplied {
+		checked := int64(len(newSlots)) * vm.PageSize
+		s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_verify", checked) })
+		if keysMatch(source, pageKeys, newSlots) {
+			s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes - checked) })
+		} else {
+			pageKeys = pageSums(source)
+			s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_keys", memBytes) })
+			if newSlots, err = s.placeLocked(key, pageKeys); err != nil {
+				return 0, err
+			}
 		}
 	}
 	dedup = len(pageKeys) - len(newSlots)
@@ -419,33 +423,6 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup
 	if err := kill("gens-written"); err != nil {
 		return 0, err
 	}
-	if !s.noSidecar {
-		// Persist the fingerprint sidecar so the next Restore warm-starts
-		// instead of rehashing every page. Anchored to the pmf digest: a
-		// sidecar describing a different page manifest is stale. A
-		// migration-recorded table under the sidecar algorithm (the common
-		// SaveWithSums case) goes straight to the writer.
-		var sums []checksum.Sum
-		if pre.covers(SidecarAlgorithm, source.NumPages()) {
-			sums = pre.sums
-			s.deferMetricLocked(func(m Metrics) { m.HashAvoidedBytes(memBytes) })
-		} else {
-			sums = pageSums(source, SidecarAlgorithm)
-			s.deferMetricLocked(func(m Metrics) { m.HashBytes("save_sidecar", memBytes) })
-		}
-		if err := writeSidecar(s.fs, s.sidecarPath(name), SidecarAlgorithm,
-			source.MemBytes(), pmfDigest, len(sums), func(i int) checksum.Sum { return sums[i] }); err != nil {
-			return 0, err
-		}
-	}
-	if err := kill("sidecar-written"); err != nil {
-		return 0, err
-	}
-	// A superseded legacy digest record must not outlive the entry it
-	// described; the manifest carries the digest from here on.
-	if err := s.fs.Remove(s.digestPath(name)); err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("checkpoint: remove legacy digest: %w", err)
-	}
 	// Transaction commit: the manifest is written LAST, so a crash at any
 	// earlier point leaves recorded digests that no longer match the disk —
 	// which the recovery scan quarantines instead of serving.
@@ -467,36 +444,95 @@ func (s *Store) saveLocked(source *vm.VM, state EntryState, pre *preSums) (dedup
 		n := dedup
 		s.deferMetricLocked(func(m Metrics) { m.DedupPages(n) })
 	}
-	// A save over an un-adopted legacy entry supersedes its image files.
-	for _, p := range []string{s.legacyImagePath(name), SidecarPath(s.legacyImagePath(name))} {
-		s.cleanupLocked(p)
-	}
 	return dedup, nil
 }
 
-// cleanupLocked removes a best-effort file: one whose survival costs bytes
-// but never correctness. A failure is counted (CleanupError metric) rather
-// than silently dropped or escalated — a disk that cannot even unlink is
-// news the operator wants.
-func (s *Store) cleanupLocked(path string) {
-	if err := s.fs.Remove(path); err != nil && !os.IsNotExist(err) {
-		p := path
-		s.deferMetricLocked(func(m Metrics) { m.CleanupError(p) })
+// placeLocked reports the page slots whose objects the pool is missing —
+// the pages a save of pageKeys must write — after making room for them
+// under the quota, if one is set.
+func (s *Store) placeLocked(key string, pageKeys []checksum.Sum) ([]int, error) {
+	newSlots := s.missingLocked(pageKeys)
+	if s.quota > 0 {
+		return s.fitQuotaLocked(key, pageKeys, newSlots)
 	}
+	return newSlots, nil
 }
 
-// SidecarAlgorithm is the checksum algorithm Store.Save records in the
-// fingerprint sidecar. Restores requesting a different algorithm fall back
-// to the rescan path and rewrite the sidecar under the requested one.
-const SidecarAlgorithm = checksum.MD5
+// minPagesPerSumWorker keeps the parallel keying scan from fanning out
+// over trivially small guests; mirrors the migration engine's checksum
+// fan-out granularity.
+const minPagesPerSumWorker = 256
 
-// SetNoSidecar disables the fingerprint sidecar for this store: Save skips
-// writing it and Restore neither reads nor rewrites one. Escape hatch for
-// debugging and for hosts where the extra ~0.4 % of logical size matters.
-func (s *Store) SetNoSidecar(on bool) { s.noSidecar = on }
+// sumChunkPages is the contiguous span one hashing worker claims per grab:
+// large enough that a single ReadRange (one VM lock acquisition, one
+// contiguous copy) amortizes across many hashes, small enough that the tail
+// of the image still balances across the pool.
+const sumChunkPages = 256
 
-// NoSidecar reports whether the fingerprint sidecar is disabled.
-func (s *Store) NoSidecar() bool { return s.noSidecar }
+// forSpans splits [0, n) into sumChunkPages-sized spans that up to
+// GOMAXPROCS workers claim off an atomic cursor, calling fn with each
+// span and the worker's span-sized page buffer.
+func forSpans(n int, fn func(start, count int, buf []byte)) {
+	chunk := min(sumChunkPages, n)
+	var next atomic.Int64
+	scan := func() {
+		buf := make([]byte, chunk*vm.PageSize)
+		for {
+			start := int(next.Add(int64(chunk))) - chunk
+			if start >= n {
+				return
+			}
+			fn(start, min(chunk, n-start), buf)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), n/minPagesPerSumWorker)
+	if workers < 2 {
+		scan()
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan()
+		}()
+	}
+	wg.Wait()
+}
+
+// pageSums computes the ObjectAlgorithm key of every page of a live VM — the
+// content-keying scan. Each span is copied out with one ReadRange before
+// hashing: page-at-a-time PageSum calls paid one lock round-trip per 4 KiB,
+// which throttled the Save-time keying scan.
+func pageSums(v *vm.VM) []checksum.Sum {
+	sums := make([]checksum.Sum, v.NumPages())
+	forSpans(len(sums), func(start, count int, buf []byte) {
+		span := buf[:count*vm.PageSize]
+		v.ReadRange(start, count, span)
+		for i := 0; i < count; i++ {
+			sums[start+i] = ObjectAlgorithm.Page(span[i*vm.PageSize : (i+1)*vm.PageSize])
+		}
+	})
+	return sums
+}
+
+// keysMatch reports whether pageKeys[slot] is the ObjectAlgorithm digest of
+// the VM's page slot for every listed slot.
+func keysMatch(v *vm.VM, pageKeys []checksum.Sum, slots []int) bool {
+	var bad atomic.Bool
+	forSpans(len(slots), func(start, count int, buf []byte) {
+		page := buf[:vm.PageSize]
+		for _, slot := range slots[start : start+count] {
+			v.ReadPage(slot, page)
+			if ObjectAlgorithm.Page(page) != pageKeys[slot] {
+				bad.Store(true)
+				return
+			}
+		}
+	})
+	return !bad.Load()
+}
 
 // resolveLocked maps page keys to open-file page references, opening each
 // backing segment once. The returned files are owned by the caller (they
@@ -532,27 +568,29 @@ func (s *Store) resolveLocked(pageKeys []checksum.Sum) (refs []pageRef, files []
 	return refs, files, nil
 }
 
-// Restore opens the named VM's checkpoint, installing its pages into dst
-// (when non-nil) and returning the indexed handle for the merge phase.
-// Quarantined entries are refused: a checkpoint that failed its integrity
-// check is never served.
+// Restore opens the named VM's checkpoint and returns the indexed handle
+// for the merge phase, installing its pages into dst (Checkpoint.Install)
+// when dst is non-nil. Under ObjectAlgorithm the index is the entry's key
+// list and Restore hashes nothing; under any other algorithm it reads and
+// hashes every page first (the paper's §3.3 rescan). Quarantined entries are refused: a checkpoint
+// that failed its integrity check is never served.
 func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Checkpoint, error) {
 	if !alg.Valid() {
 		return nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
 	}
+	key := sanitize(vmName)
 	s.mu.Lock()
-	info, ok := s.entryLocked(vmName)
+	e, ok := s.man.Entries[key]
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("checkpoint: no checkpoint for %q: %w", vmName, os.ErrNotExist)
 	}
-	if info.State == EntryQuarantined {
+	if e.State == EntryQuarantined {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("checkpoint: %q is quarantined (%s); refusing to serve", vmName, info.Reason)
+		return nil, fmt.Errorf("checkpoint: %q is quarantined (%s); refusing to serve", vmName, e.Reason)
 	}
-	pageKeys := s.keys[sanitize(vmName)]
+	pageKeys := s.keys[key]
 	refs, files, err := s.resolveLocked(pageKeys)
-	noSidecar := s.noSidecar
 	verify := s.verifyOnRestore
 	s.mu.Unlock()
 	if err != nil {
@@ -564,10 +602,16 @@ func (s *Store) Restore(vmName string, alg checksum.Algorithm, dst *vm.VM) (*Che
 			return nil, err
 		}
 	}
-	cp, err := s.openEntry(vmName, alg, dst, info, refs, files, noSidecar)
+	cp, err := openEntry(alg, pageKeys, refs, files)
 	if err != nil {
 		closeAll(files)
 		return nil, err
+	}
+	if dst != nil {
+		if err := cp.Install(dst); err != nil {
+			cp.Close()
+			return nil, err
+		}
 	}
 	s.touch(vmName)
 	return cp, nil
@@ -579,86 +623,50 @@ func closeAll(files []faultfs.File) {
 	}
 }
 
-// openEntry builds a Checkpoint for one entry from resolved page refs,
-// loading announce sums from the fingerprint sidecar when possible and
-// rescanning (reading and hashing every page, then rewriting the sidecar)
-// otherwise. dst, when non-nil, receives every page.
-func (s *Store) openEntry(vmName string, alg checksum.Algorithm, dst *vm.VM, info EntryInfo, refs []pageRef, files []faultfs.File, noSidecar bool) (*Checkpoint, error) {
-	pages := len(refs)
-	if dst != nil && dst.NumPages() != pages {
-		return nil, fmt.Errorf("checkpoint: image has %d pages, VM has %d", pages, dst.NumPages())
+// openEntry builds a Checkpoint for one entry from its object keys and
+// resolved page refs. Under ObjectAlgorithm the keys are the announce sums
+// and no page is read; under any other algorithm every page is read and
+// hashed.
+func openEntry(alg checksum.Algorithm, pageKeys []checksum.Sum, refs []pageRef, files []faultfs.File) (*Checkpoint, error) {
+	if alg == ObjectAlgorithm {
+		return newCheckpoint(alg, pageKeys, refs, files), nil
 	}
-	logical := int64(pages) * vm.PageSize
-	status := SidecarDisabled
-	var sums []checksum.Sum
-	if !noSidecar {
-		var serr error
-		sums, serr = loadSidecar(s.fs, s.sidecarPath(vmName), alg, logical, info.Digest)
-		switch {
-		case serr == nil:
-			status = SidecarHit
-		case os.IsNotExist(serr):
-			status = SidecarMiss
-		default:
-			status = SidecarFallback
+	sums := make([]checksum.Sum, len(refs))
+	buf := make([]byte, min(len(refs), restoreRunPages)*vm.PageSize)
+	err := forRuns(refs, func(first, count int) error {
+		run := buf[:count*vm.PageSize]
+		if _, err := refs[first].f.ReadAt(run, refs[first].off); err != nil {
+			return fmt.Errorf("checkpoint: read pages %d-%d: %w", first, first+count-1, err)
 		}
+		for k := 0; k < count; k++ {
+			sums[first+k] = alg.Page(run[k*vm.PageSize : (k+1)*vm.PageSize])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if sums == nil {
-		// Rescan: read every page out of the pool and hash it under alg.
-		sums = make([]checksum.Sum, pages)
-		err := readRuns(refs, func(first int, run []byte) {
-			for k := 0; k < len(run)/vm.PageSize; k++ {
-				sums[first+k] = alg.Page(run[k*vm.PageSize : (k+1)*vm.PageSize])
-			}
-			if dst != nil {
-				dst.InstallRange(first, run)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !noSidecar {
-			// Self-heal: persist the rebuilt sums so the next Restore under
-			// this algorithm is warm. Best effort — a failed rewrite only
-			// costs the next Restore a rescan.
-			_ = writeSidecar(s.fs, s.sidecarPath(vmName), alg, logical, info.Digest,
-				pages, func(i int) checksum.Sum { return sums[i] })
-		}
-	} else if dst != nil {
-		// Warm hit with an install: a plain read of every page, no hashing.
-		if err := readRuns(refs, func(first int, run []byte) { dst.InstallRange(first, run) }); err != nil {
-			return nil, err
-		}
-	}
-	cp := newCheckpoint(alg, sums, refs, files, status)
-	if dst != nil {
-		cp.installed = sums
-	}
-	return cp, nil
+	return newCheckpoint(alg, sums, refs, files), nil
 }
 
 // restoreRunPages caps the pages one bootstrap read covers: 1 MiB of
 // scratch, a handful of reads per segment instead of one per page.
 const restoreRunPages = 256
 
-// readRuns reads the pages behind refs in order and hands them to fn in
-// runs: pages that sit back to back in one file (a segment stores a save's
-// new pages contiguously) arrive in one ReadAt, at most restoreRunPages at
-// a time. first is the index of the run's first page; run is scratch,
-// valid only during the call.
-func readRuns(refs []pageRef, fn func(first int, run []byte)) error {
-	buf := make([]byte, min(len(refs), restoreRunPages)*vm.PageSize)
+// forRuns walks refs in page order in runs of pages that sit back to back
+// in one file (a segment stores a save's new pages contiguously), at most
+// restoreRunPages long, calling fn with each run's first page index and
+// length.
+func forRuns(refs []pageRef, fn func(first, count int) error) error {
 	for i := 0; i < len(refs); {
 		j := i + 1
 		for j < len(refs) && j-i < restoreRunPages &&
 			refs[j].f == refs[i].f && refs[j].off == refs[j-1].off+vm.PageSize {
 			j++
 		}
-		run := buf[:(j-i)*vm.PageSize]
-		if _, err := refs[i].f.ReadAt(run, refs[i].off); err != nil {
-			return fmt.Errorf("checkpoint: read pages %d-%d: %w", i, j-1, err)
+		if err := fn(i, j-i); err != nil {
+			return err
 		}
-		fn(i, run)
 		i = j
 	}
 	return nil
@@ -669,41 +677,38 @@ func readRuns(refs []pageRef, fn func(first int, run []byte)) error {
 // destination of a fresh VM's migration (no checkpoint of its own) opens
 // the union and announces it, so the source skips every page any resident
 // checkpoint holds (the paper's §3.1 redundancy, pooled host-wide). The
-// union has no page-frame geometry: PageAt reports no frames, so it can
-// never serve as a delta base — matching the partial-checkpoint rules the
-// wire protocol already carries.
+// union is indexed and announced under ObjectAlgorithm only: recycling
+// across VMs must rest on a collision-resistant identity, and the object
+// keys already in memory are that identity, so the union reads and hashes
+// nothing. It has no page-frame geometry: PageAt reports no frames, so it
+// can never serve as a delta base — matching the partial-checkpoint rules
+// the wire protocol already carries.
 //
 // Returns the union checkpoint and the names of the entries it covers, or
 // (nil, nil, nil) when the store holds nothing servable.
 //
 // The union is an optimization, so a single sick entry must not cost the
 // migration its whole bootstrap: an entry whose segments cannot be opened
-// or read is skipped — reported through the Metrics Degraded callback with
-// stage "union-read" — and the union is built from the rest. Skipped
-// entries stay in the store untouched (a transient read error is not
-// evidence of corruption; Scrub and Verify decide quarantines).
-func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error) {
-	if !alg.Valid() {
-		return nil, nil, fmt.Errorf("checkpoint: invalid checksum algorithm")
-	}
-	type unionEntry struct {
-		info EntryInfo
+// is skipped — reported through the Metrics Degraded callback with stage
+// "union-read" — and the union is built from the rest. Skipped entries stay
+// in the store untouched (a transient open error is not evidence of
+// corruption; Scrub and Verify decide quarantines).
+func (s *Store) OpenUnion() (*Checkpoint, []string, error) {
+	type member struct {
 		keys []checksum.Sum
 		refs []pageRef
 	}
-	s.mu.Lock()
-	var candidates []string
-	for key, e := range s.man.Entries {
-		if e.State != EntryQuarantined {
-			candidates = append(candidates, key)
-		}
-	}
-	sort.Strings(candidates)
-	entries := make([]unionEntry, 0, len(candidates))
+	var members []member
+	var names []string
 	var files []faultfs.File
 	open := map[string]faultfs.File{}
-	for _, key := range candidates {
-		info, _ := s.entryLocked(key)
+	// Resolve under the lock, fold after it: the fold is O(pages stored),
+	// and the key lists it reads are never mutated in place.
+	s.mu.Lock()
+	for _, key := range sortedKeys(s.man.Entries) {
+		if s.man.Entries[key].State == EntryQuarantined {
+			continue
+		}
 		pageKeys := s.keys[key]
 		refs := make([]pageRef, len(pageKeys))
 		var resolveErr error
@@ -729,68 +734,24 @@ func (s *Store) OpenUnion(alg checksum.Algorithm) (*Checkpoint, []string, error)
 			s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
 			continue
 		}
-		entries = append(entries, unionEntry{info: info, keys: pageKeys, refs: refs})
+		names = append(names, key)
+		members = append(members, member{keys: pageKeys, refs: refs})
 	}
-	noSidecar := s.noSidecar
 	s.mu.Unlock()
-	defer s.drainMetrics()
-	if len(entries) == 0 {
-		closeAll(files)
-		return nil, nil, nil
-	}
-	cp := &Checkpoint{
-		alg:     alg,
-		files:   files,
-		sums:    checksum.NewSet(0),
-		sidecar: SidecarHit,
-	}
-	var names []string
-	buf := make([]byte, vm.PageSize)
-	for _, ue := range entries {
-		logical := int64(len(ue.keys)) * vm.PageSize
-		var sums []checksum.Sum
-		if !noSidecar {
-			if got, err := loadSidecar(s.fs, s.sidecarPath(ue.info.Name), alg, logical, ue.info.Digest); err == nil {
-				sums = got
-			}
-		}
-		if sums == nil {
-			// Rescan this entry's pages; no sidecar self-heal here — the
-			// union is read-mostly and must not race a concurrent Save on
-			// the entry's own files. A read error skips the entry: nothing
-			// of it has been folded into the union yet.
-			cp.sidecar = SidecarMiss
-			sums = make([]checksum.Sum, len(ue.refs))
-			readErr := error(nil)
-			for i, ref := range ue.refs {
-				if _, err := ref.f.ReadAt(buf, ref.off); err != nil {
-					readErr = err
-					break
-				}
-				sums[i] = alg.Page(buf)
-			}
-			if readErr != nil {
-				fault := faultfs.Label(readErr)
-				s.mu.Lock()
-				s.deferMetricLocked(func(m Metrics) { m.Degraded("union-read", fault) })
-				s.mu.Unlock()
-				continue
-			}
-		}
-		names = append(names, ue.info.Name)
-		for i, sum := range sums {
-			if cp.sums.Contains(sum) {
-				continue
-			}
-			cp.sums.Add(sum)
-			cp.index.add(sum, ue.refs[i])
-		}
-	}
+	s.drainMetrics()
 	if len(names) == 0 {
 		closeAll(files)
 		return nil, nil, nil
 	}
-	cp.index.sort()
+	cp := &Checkpoint{alg: ObjectAlgorithm, files: files, sums: checksum.NewSet(0)}
+	for _, m := range members {
+		for i, sum := range m.keys {
+			if !cp.sums.Contains(sum) {
+				cp.sums.Add(sum)
+				cp.index.add(sum, m.refs[i])
+			}
+		}
+	}
 	return cp, names, nil
 }
 
@@ -811,8 +772,8 @@ func (s *Store) Generations(vmName string) (dirtytrack.GenVector, bool, error) {
 	return gens, true, nil
 }
 
-// Remove deletes the named VM's entry — page manifest, sidecars and
-// manifest record — and releases its object references. The only way out
+// Remove deletes the named VM's entry — page manifest, generation vector
+// and manifest record — and releases its object references. The only way out
 // of quarantine. Object payloads stay pooled until a GC pass collects the
 // segments nothing references anymore.
 func (s *Store) Remove(vmName string) error {
@@ -823,13 +784,8 @@ func (s *Store) Remove(vmName string) error {
 
 func (s *Store) removeLocked(vmName string) error {
 	key := sanitize(vmName)
-	e, recorded := s.man.Entries[key]
-	paths := []string{s.pmfPath(vmName), s.sidecarPath(vmName), s.genPath(vmName), s.digestPath(vmName)}
-	if e.LegacyImage {
-		img := s.legacyImagePath(vmName)
-		paths = append(paths, img, SidecarPath(img))
-	}
-	for _, p := range paths {
+	_, recorded := s.man.Entries[key]
+	for _, p := range []string{s.pmfPath(vmName), s.genPath(vmName)} {
 		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("checkpoint: remove %s: %w", p, err)
 		}

@@ -236,7 +236,7 @@ func TestGCCrashMidCompact(t *testing.T) {
 func TestOpenUnionServesResidentContent(t *testing.T) {
 	s := quotaStore(t)
 	// Empty store: no union.
-	cp, names, err := s.OpenUnion(checksum.MD5)
+	cp, names, err := s.OpenUnion()
 	if err != nil || cp != nil || names != nil {
 		t.Fatalf("empty union = %v, %v, %v", cp, names, err)
 	}
@@ -248,7 +248,7 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 	if err := s.SaveSalvage(b); err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err = s.OpenUnion(checksum.MD5)
+	cp, names, err = s.OpenUnion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 	// Every page of both residents resolves out of the union.
 	for name, src := range map[string]*vm.VM{"a": a, "b": b} {
 		for i := 0; i < src.NumPages(); i++ {
-			sum := src.PageSum(i, checksum.MD5)
+			sum := src.PageSum(i, ObjectAlgorithm)
 			if !cp.SumSet().Contains(sum) {
 				t.Fatalf("%s page %d missing from union announcement", name, i)
 			}
@@ -274,6 +274,9 @@ func TestOpenUnionServesResidentContent(t *testing.T) {
 			}
 			cp.Release(got)
 		}
+	}
+	if cp.Algorithm() != ObjectAlgorithm {
+		t.Errorf("union indexed under %v, want the store's object identity", cp.Algorithm())
 	}
 	// The union has no frame geometry: it can never act as a delta base.
 	if cp.Pages() != 0 {
@@ -301,7 +304,7 @@ func TestOpenUnionSkipsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, names, err := s2.OpenUnion(checksum.MD5)
+	cp, names, err := s2.OpenUnion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +453,7 @@ func TestConcurrentSaveGCRestore(t *testing.T) {
 	go func() { // union + stats reader
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			cp, _, err := s.OpenUnion(checksum.MD5)
+			cp, _, err := s.OpenUnion()
 			if err != nil {
 				errc <- err
 				return

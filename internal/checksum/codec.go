@@ -1,11 +1,10 @@
 package checksum
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -43,9 +42,7 @@ func sortedSums(st *Set) *[]Sum {
 	p := sumsPool.Get().(*[]Sum)
 	*p = st.AppendSums((*p)[:0])
 	sums := *p
-	sort.Slice(sums, func(i, j int) bool {
-		return bytes.Compare(sums[i][:], sums[j][:]) < 0
-	})
+	slices.SortFunc(sums, Compare)
 	return p
 }
 

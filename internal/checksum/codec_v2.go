@@ -94,24 +94,35 @@ func EncodeSetCompact(w io.Writer, st *Set) (int, error) {
 	mode := byte(compactModeRaw)
 	body := raw.Bytes()
 	if raw.Len() > 0 {
-		if comp, err := deflateBytes(body); err != nil {
+		// The two deflates are independent and the announce is on the
+		// destination's critical path, so the transposed one runs alongside.
+		var tcomp []byte
+		var terr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			trans := make([]byte, len(sums)*Size)
+			for j := 0; j < Size; j++ {
+				col := trans[j*len(sums) : (j+1)*len(sums)]
+				for i := range sums {
+					col[i] = sums[i][j]
+				}
+			}
+			tcomp, terr = deflateBytes(trans)
+		}()
+		comp, err := deflateBytes(body)
+		<-done
+		if err != nil {
 			return 0, err
 		} else if len(comp) < len(body) {
 			mode = compactModeDeflate
 			body = comp
 		}
-		trans := make([]byte, len(sums)*Size)
-		for j := 0; j < Size; j++ {
-			col := trans[j*len(sums) : (j+1)*len(sums)]
-			for i := range sums {
-				col[i] = sums[i][j]
-			}
-		}
-		if comp, err := deflateBytes(trans); err != nil {
-			return 0, err
-		} else if len(comp) < len(body) {
+		if terr != nil {
+			return 0, terr
+		} else if len(tcomp) < len(body) {
 			mode = compactModeTranspose
-			body = comp
+			body = tcomp
 		}
 		if plainLen := len(sums) * Size; plainLen < len(body) {
 			plain := make([]byte, 0, plainLen)

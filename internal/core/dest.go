@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -82,7 +83,7 @@ type DestResult struct {
 	// PageSums is the per-page digest table the merge recorded (only when
 	// DestOptions.TrackIncoming was set). After a successful migration it
 	// covers every page of the arrived state, so the post-migration
-	// checkpoint can be ingested via Store.SaveWithSums without a sidecar
+	// checkpoint can be ingested via Store.SaveWithSums without a keying
 	// rehash; after a failure it is partial and Sums reports false.
 	PageSums *SumTable
 }
@@ -221,10 +222,20 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	var cp *checkpoint.Checkpoint
 	partial := false
 	union := false
+	// The capability holds only when both ends opted in: the source's hello
+	// bit and our own configuration. The ack echoes the decision so the
+	// source knows which announcement encoding to expect.
+	useV2 := h.CompactAnnounce && !opts.NoCompactAnnounce
+	var announced []byte // the announcement, when encoded during the install
 	if h.Recycle && opts.Store != nil {
 		if info, ok := opts.Store.Entry(h.VMName); ok && info.State != checkpoint.EntryQuarantined &&
 			!(info.State == checkpoint.EntryPartial && h.SkipAnnounce) {
-			rcp, rerr := opts.Store.Restore(h.VMName, h.Alg, v)
+			rcp, rerr := opts.Store.Restore(h.VMName, h.Alg, nil)
+			if rerr == nil {
+				if announced, rerr = installAnnouncing(rcp, v, !h.SkipAnnounce, useV2); rerr != nil {
+					rcp.Close()
+				}
+			}
 			if rerr != nil {
 				// A corrupt or unreadable checkpoint must not fail the
 				// migration; degrade to a full first round. A storage-borne
@@ -243,16 +254,18 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 				partial = info.State == checkpoint.EntryPartial
 			}
 		}
-		if cp == nil && !h.SkipAnnounce {
+		if cp == nil && !h.SkipAnnounce && h.Alg == checkpoint.ObjectAlgorithm {
 			// Fresh VM on a warm host: no servable checkpoint of its own, but
 			// the content-addressed pool may hold its pages anyway — other
 			// VMs' checkpoints, older generations, salvage partials.
-			// Announce the union of everything resident. The
-			// partial-checkpoint ack bit keeps the source off delta encoding
-			// (nothing was installed into v, so there is no delta base) —
-			// exactly the salvage-bootstrap rule. Best-effort: a union that
-			// fails to open degrades to a plain full first round.
-			if ucp, members, uerr := opts.Store.OpenUnion(h.Alg); uerr == nil && ucp != nil {
+			// Announce the union of everything resident. Pages cross VMs
+			// only under the store's own collision-resistant identity, so
+			// any other algorithm gets no union. The partial-checkpoint ack
+			// bit keeps the source off delta encoding (nothing was installed
+			// into v, so there is no delta base) — exactly the
+			// salvage-bootstrap rule. Best-effort: a union that fails to
+			// open degrades to a plain full first round.
+			if ucp, members, uerr := opts.Store.OpenUnion(); uerr == nil && ucp != nil {
 				cp = ucp
 				union = true
 				partial = true
@@ -270,7 +283,6 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		defer cp.Close()
 		res.UsedCheckpoint = true
 		res.ResumedFromPartial = partial && !union
-		opts.OnEvent.emit(Event{Kind: EventSidecar, Detail: cp.Sidecar().String()})
 		if res.ResumedFromPartial {
 			opts.OnEvent.emit(Event{Kind: EventSalvage, Detail: "resumed",
 				Pages: int64(cp.Pages())})
@@ -297,10 +309,6 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	}
 
 	start := time.Now()
-	// The capability holds only when both ends opted in: the source's hello
-	// bit and our own configuration. The ack echoes the decision so the
-	// source knows which announcement encoding to expect.
-	useV2 := h.CompactAnnounce && !opts.NoCompactAnnounce
 	s.rangeOK = h.RangeFrames && !opts.NoRangeFrames
 	if err := writeHelloAck(w, helloAck{OK: true, HaveCheckpoint: cp != nil,
 		CompactAnnounce: useV2, PartialCheckpoint: partial,
@@ -310,20 +318,20 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 	opts.OnEvent.emit(Event{Kind: EventHello, Pages: int64(h.PageCount),
 		Detail: fmt.Sprintf("have_checkpoint=%v", cp != nil)})
 	if cp != nil && !h.SkipAnnounce {
-		set := cp.SumSet()
-		before := s.cw.n + int64(w.Buffered())
-		if useV2 {
-			err = writeHashAnnounceV2(w, set)
-		} else {
-			err = writeHashAnnounce(w, set)
+		msg := announced
+		if msg == nil {
+			if msg, err = announceMsg(cp.SumSet(), useV2); err != nil {
+				return res, err
+			}
 		}
-		if err != nil {
+		if _, err := w.Write(msg); err != nil {
 			return res, err
 		}
-		res.Metrics.AnnounceBytes = s.cw.n + int64(w.Buffered()) - before
-		res.Metrics.AnnounceRawBytes = int64(checksum.EncodedSize(set.Len()))
+		n := cp.SumSet().Len()
+		res.Metrics.AnnounceBytes = int64(len(msg))
+		res.Metrics.AnnounceRawBytes = int64(checksum.EncodedSize(n))
 		opts.OnEvent.emit(Event{Kind: EventAnnounce, Bytes: res.Metrics.AnnounceBytes,
-			Pages: int64(set.Len())})
+			Pages: int64(n)})
 	}
 	if err := flush(w); err != nil {
 		return res, err
@@ -350,6 +358,43 @@ func (s *IncomingSession) Run(ctx context.Context, v *vm.VM, opts DestOptions) (
 		s.salvage(v, opts, &res)
 	}
 	return res, err
+}
+
+// installAnnouncing installs cp's pages into v and, when announce is set,
+// encodes cp's announcement alongside: both sit on the critical path ahead
+// of round one, and the announcement is the checkpoint's sum set, known
+// before a page is read.
+func installAnnouncing(cp *checkpoint.Checkpoint, v *vm.VM, announce, compact bool) (msg []byte, err error) {
+	var aerr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if announce {
+			msg, aerr = announceMsg(cp.SumSet(), compact)
+		}
+	}()
+	err = cp.Install(v)
+	<-done
+	if err == nil {
+		err = aerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// announceMsg encodes set as the hash-announcement message: the compact
+// v2 frame when negotiated, the v1 frame otherwise.
+func announceMsg(set *checksum.Set, compact bool) ([]byte, error) {
+	var buf bytes.Buffer
+	var err error
+	if compact {
+		err = writeHashAnnounceV2(&buf, set)
+	} else {
+		err = writeHashAnnounce(&buf, set)
+	}
+	return buf.Bytes(), err
 }
 
 // salvage persists the pages a failed merge had already installed as a

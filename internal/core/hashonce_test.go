@@ -222,13 +222,13 @@ func TestArrivalSumsRefused(t *testing.T) {
 	if err := src.FillRandom(0.9); err != nil {
 		t.Fatal(err)
 	}
-	incomplete := arrivalOf(src, checksum.MD5)
-	incomplete.Table.reset(checksum.MD5, pages)
+	incomplete := arrivalOf(src, checksum.SHA256)
+	incomplete.Table.reset(checksum.SHA256, pages)
 	sent := NewSumTable()
 	aliased := ArrivalSums{Table: sent, Gens: src.GenSnapshot()}
-	sent.reset(checksum.MD5, pages)
+	sent.reset(checksum.SHA256, pages)
 	for i := 0; i < pages; i++ {
-		sent.record(i, src.PageSum(i, checksum.MD5))
+		sent.record(i, src.PageSum(i, checksum.SHA256))
 	}
 	sent.markComplete()
 	cases := []struct {
@@ -238,7 +238,7 @@ func TestArrivalSumsRefused(t *testing.T) {
 	}{
 		{"other-algorithm", arrivalOf(src, checksum.MD5), SourceOptions{Alg: checksum.SHA256}},
 		{"incomplete", incomplete, SourceOptions{}},
-		{"short-generations", ArrivalSums{Table: arrivalOf(src, checksum.MD5).Table, Gens: src.GenSnapshot()[:pages/2]}, SourceOptions{}},
+		{"short-generations", ArrivalSums{Table: arrivalOf(src, checksum.SHA256).Table, Gens: src.GenSnapshot()[:pages/2]}, SourceOptions{}},
 		{"sent-sums-alias", aliased, SourceOptions{SentSums: sent}},
 	}
 	for _, tc := range cases {
@@ -278,7 +278,7 @@ func TestFailedAttemptTablesIncomplete(t *testing.T) {
 			dst := newVM(t, "vm0", pages, 2)
 			dres, serr, derr := cutMigration(t, src, dst, 200_000,
 				SourceOptions{Recycle: true, Workers: workers, SentSums: sent,
-					Arrival: arrivalOf(src, checksum.MD5)},
+					Arrival: arrivalOf(src, checksum.SHA256)},
 				DestOptions{Store: store, Workers: workers, TrackIncoming: true, NoSalvage: true})
 			if serr == nil || derr == nil {
 				t.Fatalf("cut migration succeeded (source=%v dest=%v)", serr, derr)

@@ -18,11 +18,6 @@ const (
 	// checksums announced, from which the pre-compaction v1 size follows
 	// (checksum.EncodedSize).
 	EventAnnounce = "announce"
-	// EventSidecar: the destination restored its checkpoint and consulted
-	// the fingerprint sidecar. Detail is the outcome: "hit" (index loaded
-	// from the sidecar), "miss" (no sidecar; image rehashed), "fallback"
-	// (sidecar invalid; image rehashed), or "disabled".
-	EventSidecar = "sidecar"
 	// EventRound: one pre-copy round completed. Round is the 1-based
 	// round number, Pages the pages streamed (source) or observed dirty
 	// (per the round-end frame), Bytes the wire volume of the round as

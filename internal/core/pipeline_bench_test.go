@@ -143,7 +143,7 @@ func BenchmarkRecycledReturn(b *testing.B) {
 	if err := store.Save(src); err != nil {
 		b.Fatal(err)
 	}
-	arrival := arrivalOf(src, checksum.MD5)
+	arrival := arrivalOf(src, checksum.SHA256)
 	rng := rand.New(rand.NewSource(5))
 	buf := make([]byte, vm.PageSize)
 	for _, p := range rng.Perm(pages)[:pages/20] {

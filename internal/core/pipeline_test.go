@@ -153,6 +153,9 @@ func goldenRunWith(t *testing.T, workers int, onEvent EventFunc, legacy, arrival
 	go func() {
 		defer wg.Done()
 		sm, serr = MigrateSource(context.Background(), rc, src, SourceOptions{
+			// The pinned digests were recorded under MD5, the engine
+			// default at the time; pinning it keeps the stream comparable.
+			Alg:           checksum.MD5,
 			Recycle:       true,
 			Compress:      true,
 			DeltaBase:     base,

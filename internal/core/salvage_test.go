@@ -159,7 +159,7 @@ func TestPartialSkippedUnderSkipAnnounce(t *testing.T) {
 	}
 	// Ping-pong: the source claims to know the destination's sums.
 	known := checksum.NewSet(src.NumPages())
-	collectSums(src, checksum.MD5, known)
+	collectSums(src, checksum.SHA256, known)
 	dst := newVM(t, "vm0", pages, 2)
 	sm, dres := migrate(t, src, dst,
 		SourceOptions{Recycle: true, KnownDestSums: known},

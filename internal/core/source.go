@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"vecycle/internal/checkpoint"
 	"vecycle/internal/checksum"
 	"vecycle/internal/dirtytrack"
 	"vecycle/internal/vm"
@@ -26,7 +27,10 @@ type SourceOptions struct {
 	// strong one (MD5, SHA-256) because matches are declared across hosts
 	// without byte comparison (§3.4); baseline migrations may select the
 	// fast non-cryptographic hashes (fnv, fast64), whose sums serve only as
-	// payload integrity tags. Defaults to MD5.
+	// payload integrity tags. Defaults to checkpoint.ObjectAlgorithm
+	// (truncated SHA-256), the checkpoint store's object key, so a warm
+	// destination announces straight from its page manifests and the
+	// post-migration save reuses the recorded sums as keys.
 	Alg checksum.Algorithm
 	// Recycle enables checkpoint-assisted mode. When false the engine
 	// behaves like stock QEMU pre-copy: every first-round page is sent in
@@ -85,7 +89,7 @@ type SourceOptions struct {
 	// overwrite re-sent ones, so after a successful migration the table
 	// holds the digest of every page of the paused final state — exactly
 	// what the post-migration checkpoint will contain, so
-	// checkpoint.Store.SaveWithSums can ingest it without a sidecar rehash.
+	// checkpoint.Store.SaveWithSums can ingest it without a keying rehash.
 	// Recording never alters the wire stream.
 	SentSums *SumTable
 	// Arrival, when set, hands round one the digests this host already
@@ -122,7 +126,7 @@ func (a ArrivalSums) resolve(alg checksum.Algorithm, pages int, sent *SumTable) 
 
 func (o *SourceOptions) setDefaults() {
 	if o.Alg == 0 {
-		o.Alg = checksum.MD5
+		o.Alg = checkpoint.ObjectAlgorithm
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 4

@@ -1,21 +1,22 @@
 package core
 
 import (
+	"context"
+	"net"
+	"sync"
 	"testing"
 
+	"vecycle/internal/checkpoint"
+	"vecycle/internal/checksum"
 	"vecycle/internal/vm"
 )
 
-// TestUnionBootstrapFreshVM is the warm-host acceptance case: a VM that has
-// never visited the destination migrates onto a host whose store holds a
-// different VM's checkpoint. The content-addressed pool announces the union
-// of resident content, so every page the newcomer shares with the resident
-// crosses the wire as a checksum, not a payload.
-func TestUnionBootstrapFreshVM(t *testing.T) {
-	const pages = 32
+// warmHostScenario returns a store holding a resident neighbor's checkpoint
+// and a fresh VM that shares exactly the first half of its pages with that
+// neighbor.
+func warmHostScenario(t *testing.T, pages int) (*checkpoint.Store, *vm.VM) {
+	t.Helper()
 	store := newStore(t)
-
-	// A resident neighbor's checkpoint warms the host.
 	neighbor := newVM(t, "neighbor", pages, 3)
 	if err := neighbor.FillRandom(1.0); err != nil {
 		t.Fatal(err)
@@ -23,8 +24,6 @@ func TestUnionBootstrapFreshVM(t *testing.T) {
 	if err := store.Save(neighbor); err != nil {
 		t.Fatal(err)
 	}
-
-	// The fresh VM shares exactly half its pages with the neighbor.
 	src := newVM(t, "vm0", pages, 9)
 	if err := src.FillRandom(1.0); err != nil {
 		t.Fatal(err)
@@ -34,6 +33,17 @@ func TestUnionBootstrapFreshVM(t *testing.T) {
 		neighbor.ReadPage(i, buf)
 		src.InstallPage(i, buf)
 	}
+	return store, src
+}
+
+// TestUnionBootstrapFreshVM is the warm-host acceptance case: a VM that has
+// never visited the destination migrates onto a host whose store holds a
+// different VM's checkpoint. The content-addressed pool announces the union
+// of resident content, so every page the newcomer shares with the resident
+// crosses the wire as a checksum, not a payload.
+func TestUnionBootstrapFreshVM(t *testing.T) {
+	const pages = 32
+	store, src := warmHostScenario(t, pages)
 
 	var sawUnion bool
 	dst := newVM(t, "vm0", pages, 2)
@@ -93,5 +103,104 @@ func TestUnionBootstrapEmptyStore(t *testing.T) {
 	}
 	if sm.PagesSum != 0 {
 		t.Errorf("empty store still produced %d checksum pages", sm.PagesSum)
+	}
+}
+
+// TestUnionNeedsObjectIdentity: pages cross VMs only under the store's own
+// collision-resistant identity. The warm-host scenario that recycles the
+// shared half under the default algorithm (TestUnionBootstrapFreshVM) opens
+// no union under MD5, whose collisions one tenant could plant against
+// another: every page travels in full.
+func TestUnionNeedsObjectIdentity(t *testing.T) {
+	const pages = 32
+	store, src := warmHostScenario(t, pages)
+	dst := newVM(t, "vm0", pages, 2)
+	sm, dres := migrate(t, src, dst,
+		SourceOptions{Recycle: true, Alg: checksum.MD5},
+		DestOptions{Store: store, VerifyPayloads: true})
+	if !src.MemEqual(dst) {
+		t.Fatalf("memory differs at page %d", src.FirstDifference(dst))
+	}
+	if dres.UsedCheckpoint || dres.UnionBootstrap {
+		t.Errorf("UsedCheckpoint=%v UnionBootstrap=%v under md5, want both false",
+			dres.UsedCheckpoint, dres.UnionBootstrap)
+	}
+	if sm.PagesFull != pages || sm.PagesSum != 0 {
+		t.Errorf("sent %d full and %d checksum pages, want %d and 0", sm.PagesFull, sm.PagesSum, pages)
+	}
+}
+
+// TestCorruptFrameNeverKeysAnObject: a full page corrupted in transit still
+// arrives under its header's sum, and without VerifyPayloads the
+// destination records that sum as the page's digest. Saving the arrival
+// with that table must not file the corrupt bytes under the honest key:
+// the store must still verify, a VM holding the honest content must
+// restore it intact, and a fresh VM bootstrapped from the union must
+// arrive intact.
+func TestCorruptFrameNeverKeysAnObject(t *testing.T) {
+	const pages = 16
+	honest := func(name string) *vm.VM {
+		v := newVM(t, name, pages, 1)
+		if err := v.FillRandom(1.0); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	src := honest("vm0")
+	dst := newVM(t, "vm0", pages, 2)
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	evil := &corruptConn{Conn: a, target: 10_000}
+	var wg sync.WaitGroup
+	var serr, derr error
+	var dres DestResult
+	wg.Add(2)
+	go func() { defer wg.Done(); _, serr = MigrateSource(context.Background(), evil, src, SourceOptions{}) }()
+	go func() {
+		defer wg.Done()
+		dres, derr = MigrateDest(context.Background(), b, dst, DestOptions{TrackIncoming: true})
+	}()
+	wg.Wait()
+	if serr != nil || derr != nil {
+		t.Fatalf("migration failed: source=%v dest=%v", serr, derr)
+	}
+	if src.MemEqual(dst) {
+		t.Fatal("corruptConn did not hit a payload")
+	}
+	sums, ok := dres.PageSums.Sums()
+	if !ok || dres.PageSums.Alg() != checkpoint.ObjectAlgorithm {
+		t.Fatalf("arrival table complete=%v alg=%v, want a complete default-algorithm table", ok, dres.PageSums.Alg())
+	}
+
+	store := newStore(t)
+	if err := store.SaveWithSums(dst, dres.PageSums.Alg(), sums); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Verify("vm0"); err != nil {
+		t.Errorf("Verify after saving the corrupted arrival: %v", err)
+	}
+	twin := honest("twin")
+	if err := store.Save(twin); err != nil {
+		t.Fatal(err)
+	}
+	restored := newVM(t, "twin", pages, 3)
+	cp, err := store.Restore("twin", checkpoint.ObjectAlgorithm, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	if !twin.MemEqual(restored) {
+		t.Errorf("twin restored wrong content at page %d", twin.FirstDifference(restored))
+	}
+
+	fresh := honest("fresh")
+	landed := newVM(t, "fresh", pages, 4)
+	_, ures := migrate(t, fresh, landed, SourceOptions{Recycle: true}, DestOptions{Store: store})
+	if !ures.UnionBootstrap {
+		t.Error("fresh VM did not bootstrap from the union")
+	}
+	if !fresh.MemEqual(landed) {
+		t.Errorf("union bootstrap delivered wrong content at page %d", fresh.FirstDifference(landed))
 	}
 }

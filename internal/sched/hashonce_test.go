@@ -44,8 +44,9 @@ func hashStage(t *testing.T, h *Host, stage string) bool {
 // return leg the source hashes only what the guest wrote since it arrived
 // — before departure and, through a concurrent writer, during round one —
 // and the destination checks its checksum frames against the sums its
-// bootstrap installed. Memory must match at every pipeline width: hosts
-// take the width from GOMAXPROCS, so each run pins it (0 keeps the
+// bootstrap installed. The checkpoints both departures saved from their
+// sum tables must verify, and memory must match at every pipeline width:
+// hosts take the width from GOMAXPROCS, so each run pins it (0 keeps the
 // process's own).
 func TestReturnReusesArrivalSums(t *testing.T) {
 	const pages = 512
@@ -99,6 +100,13 @@ func TestReturnReusesArrivalSums(t *testing.T) {
 			}
 			landed := waitResident(t, alpha, "vm0")
 			fingerprintEqual(t, want, landed)
+			// Both departures saved their migration's sum table as the
+			// entry's object keys; every key must digest its stored page.
+			for _, h := range []*Host{alpha, beta} {
+				if err := h.Store().Verify("vm0"); err != nil {
+					t.Errorf("%s: %v", h.Name(), err)
+				}
+			}
 			if m.HashAvoidedBytes == 0 {
 				t.Error("return leg reused no arrival digest")
 			}

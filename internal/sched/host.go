@@ -181,11 +181,6 @@ func (h *Host) Name() string { return h.name }
 // Store exposes the host's checkpoint store.
 func (h *Host) Store() *checkpoint.Store { return h.store }
 
-// SetNoSidecar disables fingerprint sidecars in the host's checkpoint
-// store: Save stops writing them and Restore rehashes the image instead of
-// consulting one. The warm-start escape hatch behind the -no-sidecar flag.
-func (h *Host) SetNoSidecar(on bool) { h.store.SetNoSidecar(on) }
-
 // AddVM places a VM on this host (initial placement, not migration).
 func (h *Host) AddVM(v *vm.VM) {
 	h.mu.Lock()
@@ -703,7 +698,8 @@ type MigrateOptions struct {
 	// Compress deflates full-page payloads (core.SourceOptions.Compress).
 	Compress bool
 	// Alg selects the page-checksum algorithm (core.SourceOptions.Alg);
-	// zero keeps the engine default (MD5). Weak algorithms (fnv, fast64)
+	// zero keeps the engine default (checkpoint.ObjectAlgorithm, truncated
+	// SHA-256). Weak algorithms (fnv, fast64)
 	// are only valid for baseline migrations — recycling needs a
 	// collision-resistant digest to stand in for page content.
 	Alg checksum.Algorithm
@@ -784,7 +780,9 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 	// by an interrupted incoming migration holds another attempt's partial
 	// state, not a mirror of the destination's checkpoint.
 	if info, ok := h.store.Entry(vmName); opts.UseDelta && ok && info.State == checkpoint.EntryComplete {
-		cp, err := h.store.Restore(vmName, checksum.MD5, nil)
+		// The base only serves PageAt frames, so open it under the store's
+		// own key algorithm: no page is read or hashed up front.
+		cp, err := h.store.Restore(vmName, checkpoint.ObjectAlgorithm, nil)
 		if err != nil {
 			// Deltas are an optimization; an unopenable base loses it, not
 			// the migration. Degrade to full/sum encoding.
@@ -797,8 +795,6 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 		} else {
 			defer cp.Close()
 			deltaBase = cp
-			h.obs.sidecar.With(h.name, cp.Sidecar().String()).Inc()
-			rec.Event(obs.Event{Kind: core.EventSidecar, Detail: cp.Sidecar().String()})
 		}
 	}
 
@@ -830,7 +826,7 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 
 	// sent records each page's digest as it is encoded; after a successful
 	// attempt it holds the paused final state's sums, which the
-	// KeepCheckpoint save below hands to the store so the sidecar pass is
+	// KeepCheckpoint save below hands to the store so the keying scan is
 	// skipped. The engine resets it at every attempt, so retries never
 	// inherit a failed attempt's partial table. Nil (recording disabled)
 	// when no checkpoint will be written.
@@ -954,9 +950,10 @@ func (h *Host) runMigrateTo(ctx context.Context, addr, vmName string, v *vm.VM, 
 }
 
 // saveWithTable checkpoints v, handing the store the migration's page-sum
-// table when it is complete so Save skips the digest pass matching the
-// table's algorithm. Any incomplete, nil, or failed-attempt table falls
-// back to a plain (rehashing) Save.
+// table when it is complete so Save skips the content-keying scan (a table
+// under checkpoint.ObjectAlgorithm is the entry's key list). Any
+// incomplete, nil, failed-attempt or other-algorithm table falls back to a
+// plain (rehashing) Save.
 func saveWithTable(st *checkpoint.Store, v *vm.VM, t *core.SumTable) error {
 	if sums, ok := t.Sums(); ok {
 		return st.SaveWithSums(v, t.Alg(), sums)

@@ -161,9 +161,10 @@ func TestConcurrentDuplicateArrival(t *testing.T) {
 	if ok != 1 || rejected != 1 {
 		t.Fatalf("got %d successes and %d rejections, want exactly 1 and 1 (errs: %v)", ok, rejected, errs)
 	}
-	if _, found := dst.VM("dup-vm"); !found {
-		t.Error("winning migration did not register the VM")
-	}
+	// The destination registers the VM after it acks, so the winner's
+	// MigrateTo can return first.
+	waitFor(t, func() bool { _, found := dst.VM("dup-vm"); return found },
+		"winning migration did not register the VM")
 }
 
 // TestRetryStopsOnRejection: a rejection is terminal — the retry policy

@@ -11,6 +11,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -135,6 +136,17 @@ func (v *VM) InstallRange(start int, data []byte) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	copy(v.mem[start*PageSize:(start+count)*PageSize], data)
+}
+
+// InstallFrom installs count contiguous pages starting at frame start by
+// reading them from r at off straight into guest memory, under one lock
+// acquisition — InstallRange without the staging copy, for a checkpoint
+// bootstrap reading its pages from disk.
+func (v *VM) InstallFrom(start, count int, r io.ReaderAt, off int64) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	_, err := r.ReadAt(v.mem[start*PageSize:(start+count)*PageSize], off)
+	return err
 }
 
 // ReadRange copies count contiguous pages starting at frame start into dst
